@@ -28,7 +28,7 @@
 #include <string>
 
 #include "tempest/config.hpp"
-#include "tempest/core/wavefront.hpp"
+#include "tempest/core/band_plan.hpp"
 #include "tempest/physics/acoustic.hpp"
 #include "tempest/physics/elastic.hpp"
 #include "tempest/physics/model.hpp"

@@ -99,7 +99,7 @@ struct AccessSummary {
   /// point. Every tempest kernel writes only the centre cell (0); the
   /// task-parallel tile executor requires it — a kernel scattering writes
   /// into its neighbourhood would make adjacent concurrent tiles race even
-  /// though the read-side skew is satisfied, so engine::TileGraph rejects
+  /// though the read-side skew is satisfied, so the engine rejects
   /// write_radius > 0 instead of scheduling tasks.
   int write_radius = 0;
 };

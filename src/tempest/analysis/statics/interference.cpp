@@ -1,6 +1,8 @@
 #include "tempest/analysis/statics/interference.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 namespace tempest::analysis::statics {
@@ -29,172 +31,90 @@ struct Box {
   }
 };
 
-/// One task of the probed band with its enumerated footprints. `i`/`j`
-/// are lattice indices for the staircase order; diamond tasks use `i` as
-/// the period index and `diamond_kind` to tell peaks from valleys.
-struct Task {
-  std::string label;
-  int i = 0, j = 0;
-  int diamond_kind = 0;  ///< 0 = lattice tile, 1 = peak, 2 = valley
+/// One task's enumerated footprints and the x-y bounding box of all of
+/// them (inverted, so it meets nothing, for a task that computes nothing).
+struct TaskBoxes {
   std::vector<Box> writes;
   std::vector<Box> reads;
-};
+  int x0 = std::numeric_limits<int>::max();
+  int x1 = std::numeric_limits<int>::min();
+  int y0 = std::numeric_limits<int>::max();
+  int y1 = std::numeric_limits<int>::min();
 
-struct Geometry {
-  const TileModel& m;
-  int slots;
-
-  explicit Geometry(const TileModel& model) : m(model) {
-    const std::vector<int>& reads =
-        m.time_reads.empty() ? std::vector<int>{0} : m.time_reads;
-    int lo = m.write_dt;
-    int hi = m.write_dt;
-    for (int k : reads) {
-      lo = std::min(lo, k);
-      hi = std::max(hi, k);
-    }
-    slots = hi - lo + 1;
+  void add(std::vector<Box>& to, const Box& b) {
+    to.push_back(b);
+    x0 = std::min(x0, b.x0);
+    x1 = std::max(x1, b.x1);
+    y0 = std::min(y0, b.y0);
+    y1 = std::max(y1, b.y1);
   }
 
-  [[nodiscard]] int slot(int t) const {
-    return ((t % slots) + slots) % slots;
-  }
-
-  /// Append the substep's boxes for a clamped compute rect: the write at
-  /// slot t+write_dt over the rect, the stencil reads over the rect grown
-  /// by the halo radius, and (with receivers) the fused gather's in-rect
-  /// read of the freshly written slice.
-  void emit(Task& task, int t, int x0, int x1, int y0, int y1) const {
-    if (x0 >= x1 || y0 >= y1) return;
-    task.writes.push_back(
-        {slot(t + m.write_dt), x0, x1, y0, y1, t, false});
-    for (int k : m.time_reads) {
-      task.reads.push_back({slot(t + k), x0 - m.radius, x1 + m.radius,
-                            y0 - m.radius, y1 + m.radius, t, true});
-    }
-    if (m.receivers) {
-      task.reads.push_back({slot(t + m.write_dt), x0, x1, y0, y1, t, true});
-    }
+  [[nodiscard]] bool may_touch(const TaskBoxes& o) const {
+    return x0 < o.x1 && o.x0 < x1 && y0 < o.y1 && o.y0 < y1;
   }
 };
 
-int clamp_lo(int v) { return std::max(v, 0); }
-
-/// The lattice tasks of one wavefront/fused band (band start tt = 0: the
-/// geometry is translation-invariant in the band start modulo `slots`, so
-/// the first band is representative). Mirrors run_wavefront_tasks.
-std::vector<Task> wavefront_tasks(const Geometry& g, int tile_t) {
-  const TileModel& m = g.m;
-  const int slope = m.schedule.slope;
-  const int ni = std::min(
-      m.max_tiles,
-      (m.nx + slope * (tile_t - 1) + m.tile_x - 1) / m.tile_x);
-  const int nj = std::min(
-      m.max_tiles,
-      (m.ny + slope * (tile_t - 1) + m.tile_y - 1) / m.tile_y);
-  std::vector<Task> tasks;
-  for (int i = 0; i < ni; ++i) {
-    for (int j = 0; j < nj; ++j) {
-      Task task;
-      task.i = i;
-      task.j = j;
-      task.label =
-          "tile(" + std::to_string(i) + "," + std::to_string(j) + ")";
-      for (int t = 0; t < tile_t; ++t) {
-        const int xs = i * m.tile_x - slope * t;
-        const int ys = j * m.tile_y - slope * t;
-        g.emit(task, t, clamp_lo(xs), std::min(xs + m.tile_x, m.nx),
-               clamp_lo(ys), std::min(ys + m.tile_y, m.ny));
-      }
-      tasks.push_back(std::move(task));
-    }
+/// Circular-buffer slots the footprint's slice offsets span (a kernel
+/// reading no slice still owns the one it updates from).
+int slot_count(const Footprint& fp) {
+  int lo = fp.write_dt;
+  int hi = fp.write_dt;
+  for (int k : fp.time_reads.empty() ? std::vector<int>{0} : fp.time_reads) {
+    lo = std::min(lo, k);
+    hi = std::max(hi, k);
   }
-  return tasks;
+  return hi - lo + 1;
 }
 
-/// The block tasks of one space-blocked substep: every block unordered,
-/// one substep per barrier.
-std::vector<Task> space_blocked_tasks(const Geometry& g) {
-  const TileModel& m = g.m;
-  const int ni = std::min(m.max_tiles, (m.nx + m.tile_x - 1) / m.tile_x);
-  const int nj = std::min(m.max_tiles, (m.ny + m.tile_y - 1) / m.tile_y);
-  std::vector<Task> tasks;
-  for (int i = 0; i < ni; ++i) {
-    for (int j = 0; j < nj; ++j) {
-      Task task;
-      task.i = i;
-      task.j = j;
-      task.label =
-          "block(" + std::to_string(i) + "," + std::to_string(j) + ")";
-      g.emit(task, 0, i * m.tile_x, std::min((i + 1) * m.tile_x, m.nx),
-             j * m.tile_y, std::min((j + 1) * m.tile_y, m.ny));
-      tasks.push_back(std::move(task));
+/// The write at slot t+write_dt over each rect, the stencil reads over the
+/// rect grown by the halo radius, and (with receivers) the fused gather's
+/// in-rect read of the freshly written slice.
+TaskBoxes footprint_of(const core::PlanTask& task, const Footprint& fp,
+                       int slots) {
+  const auto slot = [slots](int t) { return ((t % slots) + slots) % slots; };
+  const int r = fp.radius;
+  TaskBoxes out;
+  for (const core::ScheduleOp& op : task.ops) {
+    const int x0 = op.box.x.lo, x1 = op.box.x.hi;
+    const int y0 = op.box.y.lo, y1 = op.box.y.hi;
+    const int t = op.t;
+    out.add(out.writes, {slot(t + fp.write_dt), x0, x1, y0, y1, t, false});
+    for (int k : fp.time_reads) {
+      out.add(out.reads,
+              {slot(t + k), x0 - r, x1 + r, y0 - r, y1 + r, t, true});
+    }
+    if (fp.receivers) {
+      out.add(out.reads, {slot(t + fp.write_dt), x0, x1, y0, y1, t, true});
     }
   }
-  return tasks;
+  return out;
 }
 
-/// The peak/valley tasks of one diamond band. Mirrors run_diamond_tasks:
-/// width = max(tile_x, 2*slope*height), peak bases at -W + k*W.
-std::vector<Task> diamond_tasks(const Geometry& g, int height) {
-  const TileModel& m = g.m;
-  const int slope = m.schedule.slope;
-  const int w = std::max(m.tile_x, 2 * slope * height);
-  const int total = (m.nx + 3 * w - 1) / w;  // bases -W, 0, W, ... < nx+W
-  const int periods = std::min(total, std::max(3, m.max_tiles));
-  std::vector<Task> tasks;
-  for (int k = 0; k < periods; ++k) {
-    const int base = -w + k * w;
-    Task peak;
-    peak.i = k;
-    peak.diamond_kind = 1;
-    peak.label = "peak(" + std::to_string(k) + ")";
-    for (int t = 0; t < height; ++t) {
-      const int shrink = slope * t;
-      g.emit(peak, t, clamp_lo(base + shrink),
-             std::min(base + w - shrink, m.nx), 0, m.ny);
+/// ancestors[v] has bit u set iff the DAG has a path u -> v. Edges always
+/// point from a lower to a higher node, so one ascending pass suffices.
+std::vector<std::vector<std::uint64_t>> ancestors(const util::TaskDag& dag) {
+  const std::size_t words = static_cast<std::size_t>(dag.size() + 63) / 64;
+  std::vector<std::vector<std::uint64_t>> anc(
+      static_cast<std::size_t>(dag.size()),
+      std::vector<std::uint64_t>(words, 0));
+  for (int v = 0; v < dag.size(); ++v) {
+    auto& mine = anc[static_cast<std::size_t>(v)];
+    for (int p : dag.preds(v)) {
+      const auto& theirs = anc[static_cast<std::size_t>(p)];
+      for (std::size_t w = 0; w < words; ++w) mine[w] |= theirs[w];
+      mine[static_cast<std::size_t>(p) / 64] |= std::uint64_t{1} << (p % 64);
     }
-    tasks.push_back(std::move(peak));
   }
-  for (int k = 0; k < periods; ++k) {
-    const int base = -w + k * w;
-    Task valley;
-    valley.i = k;
-    valley.diamond_kind = 2;
-    valley.label = "valley(" + std::to_string(k) + ")";
-    for (int t = 1; t < height; ++t) {  // zero-width at the band start
-      const int grow = slope * t;
-      g.emit(valley, t, clamp_lo(base + w - grow),
-             std::min(base + w + grow, m.nx), 0, m.ny);
-    }
-    tasks.push_back(std::move(valley));
-  }
-  return tasks;
+  return anc;
 }
 
-/// Is there a path a -> b or b -> a in the band DAG?
-bool ordered(const SchedKind kind, const Task& a, const Task& b) {
-  if (kind == SchedKind::Wavefront || kind == SchedKind::Fused) {
-    // Staircase generating set {(i-1,j), (i,j-1)}: reachability is the
-    // componentwise partial order (see core::TileGraph::band_dag).
-    return (a.i <= b.i && a.j <= b.j) || (b.i <= a.i && b.j <= a.j);
-  }
-  if (kind == SchedKind::Diamond) {
-    // Valley k waits for peaks k and k+1; no other edges exist.
-    const Task& peak = a.diamond_kind == 1 ? a : b;
-    const Task& valley = a.diamond_kind == 2 ? a : b;
-    if (peak.diamond_kind != 1 || valley.diamond_kind != 2) return false;
-    return peak.i == valley.i || peak.i == valley.i + 1;
-  }
-  return true;  // Reference: a single serial task
-}
-
-Diagnostic conflict_diag(const ScheduleDescriptor& sched, const Task& a,
-                         const Box& wa, const Task& b, const Box& fb) {
+Diagnostic conflict_diag(const std::string& where, const core::PlanTask& a,
+                         const Box& wa, const core::PlanTask& b,
+                         const Box& fb) {
   Diagnostic d;
   d.severity = Diagnostic::Severity::Error;
   d.code = "tile-interference";
-  d.message = sched.str() + ": " + a.label + " and " + b.label +
+  d.message = where + ": " + a.label + " and " + b.label +
               " have no path in the band DAG, but " + a.label + " " +
               wa.str() + " while " + b.label + " " + fb.str() +
               " — concurrent tasks touch the same cells";
@@ -203,26 +123,46 @@ Diagnostic conflict_diag(const ScheduleDescriptor& sched, const Task& a,
 
 }  // namespace
 
-TileModel TileModel::from_summary(const AccessSummary& summary,
-                                  const ScheduleDescriptor& sched,
-                                  int tile_x, int tile_y, int nx, int ny,
+core::BandPlan plan_for(const ScheduleDescriptor& sched,
+                        const grid::Extents3& e, const core::TileSpec& tiles,
+                        int s_begin, int s_end) {
+  core::TileSpec spec = tiles;
+  spec.tile_t = std::max(1, sched.tile_t);
+  switch (sched.kind) {
+    case SchedKind::Reference:
+      // One serial whole-domain sweep per substep.
+      spec.block_x = e.nx;
+      spec.block_y = e.ny;
+      return core::BandPlan::space_blocked(e, s_begin, s_end, spec);
+    case SchedKind::SpaceBlocked:
+      return core::BandPlan::space_blocked(e, s_begin, s_end, spec);
+    case SchedKind::Fused:
+      spec.tile_t = 1;
+      return core::BandPlan::wavefront(e, s_begin, s_end, sched.slope, spec);
+    case SchedKind::Wavefront:
+      return core::BandPlan::wavefront(e, s_begin, s_end, sched.slope, spec);
+    case SchedKind::Diamond:
+      spec.tile_x = core::BandPlan::diamond_width(tiles.tile_x, sched.slope,
+                                                  spec.tile_t);
+      return core::BandPlan::diamond(e, s_begin, s_end, sched.slope, spec);
+  }
+  TEMPEST_REQUIRE_MSG(false, "unknown schedule family");
+  return {};
+}
+
+Footprint Footprint::from_summary(const AccessSummary& summary,
                                   bool receivers) {
-  TileModel m;
-  m.schedule = sched;
-  m.tile_x = tile_x;
-  m.tile_y = tile_y;
-  m.nx = nx;
-  m.ny = ny;
-  m.radius = summary.radius;
-  m.write_dt = 1;
-  m.time_reads = summary.time_reads;
-  m.receivers = receivers;
-  return m;
+  Footprint fp;
+  fp.radius = summary.radius;
+  fp.write_dt = 1;
+  fp.time_reads = summary.time_reads;
+  fp.receivers = receivers;
+  return fp;
 }
 
 std::string InterferenceReport::str() const {
   std::ostringstream os;
-  os << "interference[" << schedule.str() << "]: " << tasks << " task(s), "
+  os << "interference[" << plan << "]: " << tasks << " task(s), "
      << unordered_pairs << " unordered pair(s), " << conflicts
      << " conflict(s) -> "
      << (race_free() ? "race-free" : "INTERFERENCE");
@@ -230,61 +170,60 @@ std::string InterferenceReport::str() const {
   return os.str();
 }
 
-InterferenceReport prove_race_free(const TileModel& model) {
+InterferenceReport prove_race_free(const core::BandPlan& plan,
+                                   const Footprint& footprint) {
   InterferenceReport report;
-  report.schedule = model.schedule;
-  const Geometry g(model);
-
-  std::vector<Task> tasks;
-  switch (model.schedule.kind) {
-    case SchedKind::Reference:
-      // One serial sweep: nothing runs concurrently.
-      tasks.emplace_back();
-      tasks.back().label = "sweep";
-      break;
-    case SchedKind::SpaceBlocked: tasks = space_blocked_tasks(g); break;
-    case SchedKind::Wavefront:
-      tasks = wavefront_tasks(g, std::max(1, model.schedule.tile_t));
-      break;
-    case SchedKind::Fused: tasks = wavefront_tasks(g, 1); break;
-    case SchedKind::Diamond:
-      tasks = diamond_tasks(g, std::max(1, model.schedule.tile_t));
-      break;
-  }
-  report.tasks = static_cast<int>(tasks.size());
+  report.plan = plan.str();
+  const int slots = slot_count(footprint);
 
   constexpr int kMaxDiagnostics = 6;
-  for (std::size_t ai = 0; ai < tasks.size(); ++ai) {
-    for (std::size_t bi = ai + 1; bi < tasks.size(); ++bi) {
-      const Task& a = tasks[ai];
-      const Task& b = tasks[bi];
-      if (ordered(model.schedule.kind, a, b)) continue;
-      ++report.unordered_pairs;
-      const auto found = [&](const Task& w, const Box& wb, const Task& o,
-                             const Box& ob) {
-        ++report.conflicts;
-        if (report.conflicts <= kMaxDiagnostics) {
-          report.diagnostics.push_back(
-              conflict_diag(model.schedule, w, wb, o, ob));
-        }
-      };
-      // The proof obligation: writes of either task disjoint from both
-      // the writes and the reads of the other. One diagnostic per
-      // pair/obligation is enough — the first overlap names the pair.
-      const auto scan = [&](const Task& w, const Task& o,
-                            const std::vector<Box>& other) {
-        for (const Box& wb : w.writes) {
-          for (const Box& ob : other) {
-            if (wb.overlaps(ob)) {
-              found(w, wb, o, ob);
-              return;
+  for (const core::Band& band : plan.bands) {
+    const std::size_t n = band.tasks.size();
+    report.tasks += static_cast<int>(n);
+    std::vector<TaskBoxes> boxes;
+    boxes.reserve(n);
+    for (const core::PlanTask& task : band.tasks) {
+      boxes.push_back(footprint_of(task, footprint, slots));
+    }
+    const auto anc = ancestors(band.dag);
+    const std::string where = report.plan + " band [" +
+                              std::to_string(band.s_begin) + "," +
+                              std::to_string(band.s_end) + ")";
+    for (std::size_t bi = 1; bi < n; ++bi) {
+      for (std::size_t ai = 0; ai < bi; ++ai) {
+        if ((anc[bi][ai / 64] >> (ai % 64)) & 1u) continue;  // a -> b
+        ++report.unordered_pairs;
+        const TaskBoxes& fa = boxes[ai];
+        const TaskBoxes& fb = boxes[bi];
+        if (!fa.may_touch(fb)) continue;
+        const core::PlanTask& a = band.tasks[ai];
+        const core::PlanTask& b = band.tasks[bi];
+        const auto found = [&](const core::PlanTask& w, const Box& wb,
+                               const core::PlanTask& o, const Box& ob) {
+          ++report.conflicts;
+          if (report.conflicts <= kMaxDiagnostics) {
+            report.diagnostics.push_back(conflict_diag(where, w, wb, o, ob));
+          }
+        };
+        // The proof obligation: writes of either task disjoint from both
+        // the writes and the reads of the other. One diagnostic per
+        // pair/obligation is enough — the first overlap names the pair.
+        const auto scan = [&](const core::PlanTask& w, const TaskBoxes& fw,
+                              const core::PlanTask& o,
+                              const std::vector<Box>& other) {
+          for (const Box& wb : fw.writes) {
+            for (const Box& ob : other) {
+              if (wb.overlaps(ob)) {
+                found(w, wb, o, ob);
+                return;
+              }
             }
           }
-        }
-      };
-      scan(a, b, b.writes);  // write/write (symmetric, check once)
-      scan(a, b, b.reads);   // a writes what b reads
-      scan(b, a, a.reads);   // b writes what a reads
+        };
+        scan(a, fa, b, fb.writes);  // write/write (symmetric, check once)
+        scan(a, fa, b, fb.reads);   // a writes what b reads
+        scan(b, fb, a, fa.reads);   // b writes what a reads
+      }
     }
   }
   if (report.conflicts > kMaxDiagnostics) {
@@ -315,7 +254,7 @@ std::string interference_message(const InterferenceReport& report) {
   std::ostringstream os;
   os << "tile-interference: " << report.conflicts
      << " unordered tile pair(s) with overlapping footprints under "
-     << report.schedule.str() << "\n"
+     << report.plan << "\n"
      << report.str();
   return os.str();
 }

@@ -1,83 +1,70 @@
 #pragma once
 
-// Tile-interference race prover — the third statics pass: PR 7's
-// race-freedom, restated as a static theorem instead of a TSan observation.
+// Tile-interference race prover — the third statics pass: the task-parallel
+// engine's race-freedom, restated as a static theorem instead of a TSan
+// observation.
 //
-// The task-parallel engine executes each temporal band as a DAG of
-// space-time tiles (core::TileGraph): wavefront/fused bands order tiles by
-// the staircase generating set {(i-1,j), (i,j-1)} whose transitive closure
-// is the componentwise partial order, diamond bands order each valley
-// after its two adjacent peaks, and barrier schedules run every block of a
-// substep unordered. Two tiles with *no path* in that DAG may execute
-// concurrently — so the proof obligation is:
+// The prover proves the executed plan: the engine builds one core::BandPlan
+// per run (plan_for below), proves it here, and hands the same object to
+// engine::run_plan. Bands are separated by barriers; inside a band two tasks
+// with *no path* in the band's TaskDag may execute concurrently — so the
+// proof obligation, for every band and every unordered task pair (a, b), is:
 //
-//   for every unordered tile pair (a, b): the write footprint of `a` is
-//   disjoint from both the write and the read footprint of `b` (and
-//   symmetrically), where footprints are concrete (time-slot, x-range,
-//   y-range) boxes enumerated from the kernel's access descriptors over
-//   the band geometry the executors implement.
+//   the write footprint of `a` is disjoint from both the write and the read
+//   footprint of `b` (and symmetrically), where footprints are concrete
+//   (time-slot, x-range, y-range) boxes enumerated from the plan's rects and
+//   the kernel's access descriptors.
 //
-// The model mirrors run_wavefront_tasks / run_diamond_tasks exactly: tile
-// (i, j) of a band computes substeps t in [0, tile_t) over the skewed
-// rect [i*tile_x - slope*t, (i+1)*tile_x - slope*t) x [j*tile_y -
-// slope*t, ...) clamped to the domain; a substep writes its field's
-// circular buffer slot (t+1) mod slots over the rect, reads slots (t+k)
-// mod slots (k in time_reads) over the rect grown by the stencil radius,
-// and — when receivers are gathered — reads the freshly written slot over
-// the rect (the fused_sample staging). The slot arithmetic is what makes
-// the circular TimeBuffer aliasing (slice t and slice t + slots share
-// storage) part of the theorem rather than an unmodelled hazard.
+// A substep over rect R writes its field's circular buffer slot
+// (t + write_dt) mod slots over R, reads slots (t + k) mod slots (k in
+// time_reads) over R grown by the stencil radius, and — when receivers are
+// gathered — reads the freshly written slot over R (the fused_sample
+// staging). The slot arithmetic is what makes the circular TimeBuffer
+// aliasing (slice t and slice t + slots share storage) part of the theorem
+// rather than an unmodelled hazard. Pairs whose task bounding boxes are
+// disjoint are discharged without enumerating their boxes.
 //
-// The probe lattice is truncated to max_tiles tiles per axis of the first
-// band: the geometry is translation-invariant in both the tile indices
-// and (modulo `slots`) the band start, so a conflict in any band shows up
-// in the probed one. The cross-check against the dynamic evidence (the
-// TSan lane, parallel_determinism_test) is an acceptance criterion of the
-// statics layer: the prover must return race-free exactly where TSan
-// observes no race.
+// The cross-check against the dynamic evidence (the TSan lane,
+// parallel_determinism_test) is an acceptance criterion of the statics
+// layer: the prover must return race-free exactly where TSan observes no
+// race.
 
 #include <string>
 #include <vector>
 
 #include "tempest/analysis/access.hpp"
 #include "tempest/analysis/legality.hpp"
+#include "tempest/core/band_plan.hpp"
 #include "tempest/util/error.hpp"
 
 namespace tempest::analysis::statics {
 
-/// Geometry of one task-parallel band, in the units the executors use
-/// (substeps along the time axis; for single-substep kernels a substep is
-/// a timestep). Plain ints so the prover stays below core/ in the layer
-/// graph — the engine fills it from its own TileSpec, the sweep tools
-/// from an AccessSummary.
-struct TileModel {
-  /// Family + skew slope (grid points per substep) + band height
-  /// (substeps). Reference/SpaceBlocked model the barrier schedules: one
-  /// serial sweep / one band of unordered single-substep blocks.
-  ScheduleDescriptor schedule;
-  int tile_x = 64;
-  int tile_y = 64;
-  int nx = 192;  ///< domain extent in x (y mirrors via ny)
-  int ny = 192;
+/// The band plan the executors run for `sched` over substeps
+/// [s_begin, s_end) of `e`: the descriptor's slope is grid points per
+/// substep and its tile_t the band height in substeps. `tiles` supplies the
+/// tile and block sizes. Reference is one whole-domain block per substep;
+/// Fused is wavefront with tile_t = 1; Diamond widens tile_x to
+/// BandPlan::diamond_width.
+[[nodiscard]] core::BandPlan plan_for(const ScheduleDescriptor& sched,
+                                      const grid::Extents3& e,
+                                      const core::TileSpec& tiles,
+                                      int s_begin, int s_end);
+
+/// What one substep of the kernel touches around its compute rect.
+struct Footprint {
   int radius = 2;          ///< stencil halo reach (read grow)
   int write_dt = 1;        ///< written slice offset from the substep index
   std::vector<int> time_reads{0, -1};  ///< read slice offsets
-  bool receivers = false;  ///< model the fused gather's in-rect read
-  int max_tiles = 3;       ///< probe lattice cap per tiled axis
+  bool receivers = false;  ///< the fused gather's in-rect read
 
-  /// Build the model for a kernel summary under a schedule descriptor
-  /// (descriptor units: the summary's per-timestep reach).
-  [[nodiscard]] static TileModel from_summary(const AccessSummary& summary,
-                                              const ScheduleDescriptor& sched,
-                                              int tile_x = 64, int tile_y = 64,
-                                              int nx = 192, int ny = 192,
+  [[nodiscard]] static Footprint from_summary(const AccessSummary& summary,
                                               bool receivers = false);
 };
 
-/// Verdict of the interference proof for one tile model.
+/// Verdict of the interference proof for one plan.
 struct InterferenceReport {
-  ScheduleDescriptor schedule;
-  int tasks = 0;                 ///< tasks enumerated in the probed band
+  std::string plan;              ///< BandPlan::str() of the proven plan
+  int tasks = 0;                 ///< tasks over every band
   long long unordered_pairs = 0; ///< pairs with no DAG path (checked)
   int conflicts = 0;             ///< overlapping footprint pairs found
   std::vector<Diagnostic> diagnostics;
@@ -86,9 +73,10 @@ struct InterferenceReport {
   [[nodiscard]] std::string str() const;
 };
 
-/// Enumerate every unordered tile pair of the probed band and check the
-/// write/write and write/read footprint disjointness obligation.
-[[nodiscard]] InterferenceReport prove_race_free(const TileModel& model);
+/// Check the write/write and write/read footprint disjointness obligation
+/// for every unordered task pair of every band of `plan`.
+[[nodiscard]] InterferenceReport prove_race_free(const core::BandPlan& plan,
+                                                 const Footprint& footprint);
 
 /// Thrown by the engine's pre-run gate when the proof fails; carries the
 /// report with the offending tile pairs named.

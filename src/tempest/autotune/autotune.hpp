@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "tempest/core/wavefront.hpp"
+#include "tempest/core/band_plan.hpp"
 #include "tempest/grid/extents.hpp"
 #include "tempest/perf/pmu.hpp"
 #include "tempest/perf/report.hpp"

@@ -1,5 +1,6 @@
 #include "tempest/cachesim/instrumented_acoustic.hpp"
 
+#include "tempest/core/engine.hpp"
 #include "tempest/stencil/coefficients.hpp"
 #include "tempest/util/error.hpp"
 
@@ -80,13 +81,12 @@ long long replay_acoustic_trace(const TraceConfig& cfg,
 
   // Serial replay: the simulated hierarchy models one core's caches, so the
   // trace must arrive in the deterministic single-thread order.
-  if (cfg.wavefront) {
-    core::run_wavefront(e, cfg.t_begin, cfg.t_end, r, cfg.tiles, block_trace,
-                        /*parallel=*/false);
-  } else {
-    core::run_spaceblocked(e, cfg.t_begin, cfg.t_end, cfg.tiles, block_trace,
-                           /*parallel=*/false);
-  }
+  const core::BandPlan plan =
+      cfg.wavefront
+          ? core::BandPlan::wavefront(e, cfg.t_begin, cfg.t_end, r, cfg.tiles)
+          : core::BandPlan::space_blocked(e, cfg.t_begin, cfg.t_end,
+                                          cfg.tiles);
+  core::engine::run_plan(plan, /*threads=*/1, block_trace);
   return updates;
 }
 

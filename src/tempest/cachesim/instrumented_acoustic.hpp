@@ -1,7 +1,7 @@
 #pragma once
 
 #include "tempest/cachesim/cache.hpp"
-#include "tempest/core/wavefront.hpp"
+#include "tempest/core/band_plan.hpp"
 #include "tempest/grid/extents.hpp"
 
 namespace tempest::cachesim {

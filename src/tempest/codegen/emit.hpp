@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "tempest/core/wavefront.hpp"
+#include "tempest/core/band_plan.hpp"
 #include "tempest/dsl/lower.hpp"
 
 namespace tempest::codegen {

@@ -30,12 +30,10 @@
 #include "tempest/analysis/legality.hpp"
 #include "tempest/analysis/statics/interference.hpp"
 #include "tempest/config.hpp"
+#include "tempest/core/band_plan.hpp"
 #include "tempest/core/compress.hpp"
-#include "tempest/core/diamond.hpp"
 #include "tempest/core/fused.hpp"
 #include "tempest/core/precompute.hpp"
-#include "tempest/core/tile_graph.hpp"
-#include "tempest/core/wavefront.hpp"
 #include "tempest/grid/blocks.hpp"
 #include "tempest/grid/grid3.hpp"
 #include "tempest/obs/metrics.hpp"
@@ -134,9 +132,10 @@ struct ExecutionOptions {
   /// whose declared dependency radius outruns the wave-front skew before a
   /// single wrong cell is computed. Costs microseconds per run. Also gates
   /// the statics tile-interference prover: before a temporally blocked run
-  /// starts, every unordered tile pair of the band DAG is proven to have
-  /// disjoint write/write and write/read footprints (the race-freedom the
-  /// TSan lane observes dynamically, as a pre-run theorem).
+  /// starts, every unordered task pair of every band of the plan it is
+  /// about to execute is proven to have disjoint write/write and
+  /// write/read footprints (the race-freedom the TSan lane observes
+  /// dynamically, as a pre-run theorem).
   bool verify_schedule = true;
 
   /// Let a spec whose dt exceeds the static von Neumann bound through the
@@ -194,8 +193,38 @@ concept PhysicsKernel =
       { ck.access_summary() } -> std::convertible_to<analysis::AccessSummary>;
     };
 
-/// The single generic time-loop core. Owns schedule dispatch, tile /
-/// wavefront / diamond iteration, the sparse precompute wiring, the
+/// Execute a band plan: bands in sequence, each band's tasks as its TaskDag
+/// under `threads` workers (threads == 1 is the plan's serial op order),
+/// each task's rects cut into block_x × block_y blocks handed to fn(s, box)
+/// with substeps innermost. on_band(s_end) runs serially after each band
+/// drains — then every substep < s_end is fully computed, the only global
+/// barrier temporal blocking offers.
+template <typename BlockFn>
+void run_plan(const core::BandPlan& plan, int threads, BlockFn&& fn,
+              const std::function<void(int)>& on_band = {}) {
+  [[maybe_unused]] const char* span = "space-blocked.band";
+  if (plan.family == core::BandPlan::Family::Wavefront) span = "wavefront.band";
+  if (plan.family == core::BandPlan::Family::Diamond) span = "diamond.band";
+  for (const core::Band& band : plan.bands) {
+    TEMPEST_TRACE_SPAN_ARG(span, "schedule", band.s_end);
+    band.dag.run(threads, [&](int node) {
+      const core::PlanTask& task = band.tasks[static_cast<std::size_t>(node)];
+      if (task.ops.empty()) return;
+      TEMPEST_TRACE_COUNT(TilesExecuted, 1);
+      for (const core::ScheduleOp& op : task.ops) {
+        const auto blocks =
+            grid::decompose_xy(op.box, plan.spec.block_x, plan.spec.block_y);
+        TEMPEST_TRACE_COUNT(BlocksExecuted, blocks.size());
+        for (const grid::Box3& block : blocks) fn(op.t, block);
+      }
+    });
+    TEMPEST_TRACE_COUNT(BandsExecuted, 1);
+    if (on_band) on_band(band.s_end);
+  }
+}
+
+/// The single generic time-loop core. Owns schedule dispatch, the band plan
+/// it runs for each schedule, the sparse precompute wiring, the
 /// canonical placement of trace spans and work counters, the HealthMonitor
 /// scan points and the run_from resume semantics — for every PhysicsKernel.
 template <PhysicsKernel Kernel>
@@ -289,48 +318,39 @@ class ScheduleExecutor {
       //
       // The executor implements the stage-2 (fused + compressed) nest and
       // skews by `radius` per substep — slope = S * radius per timestep.
-      // TileGraph re-derives the nest's dependence distance vectors,
-      // verifies them against the kernel's *declared* access shape (a
-      // kernel whose real dependency reach exceeded the skew would
-      // silently read stale halo cells; here it throws instead — unless
-      // verify_schedule was explicitly disabled), and maps them onto the
-      // task-dependence edges the band executors honor.
-      const analysis::ScheduleDescriptor descr =
-          sched == Schedule::Wavefront
-              ? analysis::ScheduleDescriptor::wavefront(
-                    S * radius, std::max(1, opts_.tiles.tile_t))
-              : analysis::ScheduleDescriptor::diamond(
-                    S * radius, std::max(1, opts_.tiles.tile_t));
+      // The legality gate verifies that nest's dependence distances against
+      // the kernel's *declared* access shape (a kernel whose real dependency
+      // reach exceeded the skew would silently read stale halo cells; here
+      // it throws instead — unless verify_schedule was explicitly
+      // disabled). The plan is built once, in substep units (slope =
+      // radius, band height = S * tile_t), proven race-free by the statics
+      // prover — including the circular-buffer slot aliasing and the fused
+      // receiver gather's in-rect read — and then run as is.
+      const int tile_t = std::max(1, opts_.tiles.tile_t);
+      const bool wavefront = sched == Schedule::Wavefront;
       const bool has_rec = rec != nullptr && rec->npoints() > 0;
-      const TileGraph graph =
-          TileGraph::derive(k_.access_summary(), descr, /*sources=*/true,
-                            /*receivers=*/has_rec, opts_.tiles,
-                            /*verify=*/opts_.verify_schedule);
+      const analysis::AccessSummary summary = k_.access_summary();
+      TEMPEST_REQUIRE_MSG(summary.write_radius == 0,
+                          "task-parallel tiles require a point-local write "
+                          "footprint: kernel '" + summary.kernel +
+                              "' declares write_radius=" +
+                              std::to_string(summary.write_radius));
+      const core::BandPlan plan = analysis::statics::plan_for(
+          wavefront
+              ? analysis::ScheduleDescriptor::wavefront(radius, S * tile_t)
+              : analysis::ScheduleDescriptor::diamond(radius, S * tile_t),
+          e, opts_.tiles, S * t_begin, S * nt);
       if (opts_.verify_schedule) {
-        // Statics race prover over the same band geometry the task
-        // executors below receive (substep units: slope = radius per
-        // substep, band height = S * tile_t substeps). TileGraph::derive
-        // verified the skew legality; this proves the *task DAG* leaves no
-        // unordered tile pair with overlapping write/write or write/read
-        // footprints — including the circular-buffer slot aliasing and the
-        // fused receiver gather's in-rect read.
-        const analysis::AccessSummary summary = k_.access_summary();
-        analysis::statics::TileModel tm;
-        tm.schedule =
-            sched == Schedule::Wavefront
-                ? analysis::ScheduleDescriptor::wavefront(
-                      radius, S * std::max(1, opts_.tiles.tile_t))
-                : analysis::ScheduleDescriptor::diamond(
-                      radius, S * std::max(1, opts_.tiles.tile_t));
-        tm.tile_x = opts_.tiles.tile_x;
-        tm.tile_y = opts_.tiles.tile_y;
-        tm.nx = e.nx;
-        tm.ny = e.ny;
-        tm.radius = radius;
-        tm.time_reads = summary.time_reads;
-        tm.receivers = has_rec;
-        analysis::statics::require_race_free(
-            analysis::statics::prove_race_free(tm));
+        analysis::require_legal(analysis::verify_canonical(
+            summary, /*stage=*/2, /*sources=*/true, /*receivers=*/has_rec,
+            wavefront
+                ? analysis::ScheduleDescriptor::wavefront(S * radius, tile_t)
+                : analysis::ScheduleDescriptor::diamond(S * radius, tile_t)));
+        // Footprint in substep units: each substep reaches `radius`.
+        analysis::statics::require_race_free(analysis::statics::prove_race_free(
+            plan, {.radius = radius,
+                   .time_reads = summary.time_reads,
+                   .receivers = has_rec}));
       }
       util::Timer pre;
       const core::SourceMasks masks =
@@ -347,8 +367,7 @@ class ScheduleExecutor {
         cs_rec = core::CompressedSparse(drec.rm, drec.rid);
         // Band-local staging for the deterministic parallel gather (see
         // fused.hpp): one row per in-flight timestep of a band.
-        stage = core::ReceiverStage(std::max(1, opts_.tiles.tile_t),
-                                    drec.npts);
+        stage = core::ReceiverStage(tile_t, drec.npts);
         stage.begin_band(t_begin);
       }
       stats.precompute_seconds = pre.seconds();
@@ -416,23 +435,7 @@ class ScheduleExecutor {
       };
 
       util::Timer timer;
-      if (sched == Schedule::Wavefront) {
-        // Tile the substep axis: tile_t full steps == S*tile_t substeps,
-        // skewed by `radius` grid points per substep.
-        core::TileSpec spec = opts_.tiles;
-        spec.tile_t = S * opts_.tiles.tile_t;
-        engine::run_wavefront_tasks(e, S * t_begin, S * nt, radius, spec,
-                                    graph, threads, fused_block, on_band);
-      } else {
-        core::DiamondSpec dspec;
-        dspec.height = S * opts_.tiles.tile_t;
-        // The x period must accommodate the band's dependency cone.
-        dspec.width = std::max(opts_.tiles.tile_x, 2 * radius * dspec.height);
-        dspec.block_x = opts_.tiles.block_x;
-        dspec.block_y = opts_.tiles.block_y;
-        engine::run_diamond_tasks(e, S * t_begin, S * nt, radius, dspec,
-                                  threads, fused_block, on_band);
-      }
+      run_plan(plan, threads, fused_block, on_band);
       stats.seconds = timer.seconds();
       return stats;
     }
@@ -456,10 +459,11 @@ class ScheduleExecutor {
     }
 
     util::Timer timer;
-    const auto blocks =
-        blocked ? grid::decompose_xy(grid::Box3::whole(e), opts_.tiles.block_x,
-                                     opts_.tiles.block_y)
-                : std::vector<grid::Box3>{grid::Box3::whole(e)};
+    const core::BandPlan sweep = analysis::statics::plan_for(
+        blocked ? analysis::ScheduleDescriptor::space_blocked()
+                : analysis::ScheduleDescriptor::reference(),
+        e, opts_.tiles, 0, 1);
+    const std::vector<core::PlanTask>& blocks = sweep.bands.front().tasks;
     // Reference stays a strictly serial whole-domain sweep (the validation
     // baseline); SpaceBlocked parallelizes each substep's independent
     // blocks across the resolved worker count.
@@ -479,7 +483,10 @@ class ScheduleExecutor {
           TEMPEST_OBS_TIME(SubstepSeconds);
           util::parallel_for(
               static_cast<int>(blocks.size()), block_threads,
-              [&](int b) { substep_block(s, blocks[static_cast<std::size_t>(b)]); });
+              [&](int b) {
+                substep_block(
+                    s, blocks[static_cast<std::size_t>(b)].ops.front().box);
+              });
         }
       }
       {

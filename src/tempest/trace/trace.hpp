@@ -42,7 +42,8 @@ namespace tempest::trace {
 ///   ReceiversInterpolated weight applications (receiver, support point)
 ///                         performed by receiver interpolation
 ///   BlocksExecuted        space blocks handed to a kernel
-///   TilesExecuted         space-time tiles (wavefront) / triangles (diamond)
+///   TilesExecuted         band-plan tasks that computed anything, once each:
+///                         space-time tiles (wavefront) / triangles (diamond)
 ///   BandsExecuted         completed time bands of a temporally blocked run
 ///   HaloCellsTouched      analytic cross-stencil halo footprint of executed
 ///                         blocks (2R per face pair), a locality proxy

@@ -11,7 +11,6 @@
 
 #include "tempest/autotune/autotune.hpp"
 #include "tempest/codegen/jit.hpp"
-#include "tempest/core/moving.hpp"
 #include "tempest/io/io.hpp"
 #include "tempest/physics/acoustic.hpp"
 #include "tempest/physics/vti.hpp"
@@ -275,21 +274,25 @@ TEST_F(FaultInjection, AbsoluteAmplitudeLimitTriggersBlowupDiagnosis) {
 TEST_F(FaultInjection, WavefrontScansAtBandBoundaries) {
   const int nt = 22;
   const int tile_t = 4;
-  const auto bands = tc::wavefront_bands(1, nt, tile_t);
+  const tc::TileSpec tiles{tile_t, 8, 8, 4, 4};
+  auto s = make_setup({16, 14, 12}, nt, 0);
+  // The plan the engine runs for this acoustic (S = 1) shot.
+  const auto bands = tc::BandPlan::wavefront(s.model.geom.extents, 1, nt,
+                                             s.model.geom.radius(), tiles)
+                         .bands;
   ASSERT_FALSE(bands.empty());
-  EXPECT_EQ(bands.front().first, 1);
-  EXPECT_EQ(bands.back().second, nt);
+  EXPECT_EQ(bands.front().s_begin, 1);
+  EXPECT_EQ(bands.back().s_end, nt);
   for (std::size_t i = 1; i < bands.size(); ++i) {
-    EXPECT_EQ(bands[i].first, bands[i - 1].second);  // contiguous bands
+    EXPECT_EQ(bands[i].s_begin, bands[i - 1].s_end);  // contiguous bands
   }
 
-  auto s = make_setup({16, 14, 12}, nt, 0);
   ph::PropagatorOptions opts;
-  opts.tiles = tc::TileSpec{tile_t, 8, 8, 4, 4};
+  opts.tiles = tiles;
   opts.health.check_every = 1;
   // Poison exactly at a band boundary: the band hook both injects and scans
   // there, so detection is deterministic at that step.
-  const int boundary = bands[1].second;
+  const int boundary = bands[1].s_end;
   rs::fault::plan().poison_wavefield_at_step = boundary;
 
   ph::AcousticPropagator prop(s.model, opts);
@@ -299,28 +302,6 @@ TEST_F(FaultInjection, WavefrontScansAtBandBoundaries) {
   } catch (const rs::NumericalHealthError& err) {
     EXPECT_EQ(err.field(), "u");
     EXPECT_EQ(err.step(), boundary);
-  }
-}
-
-// --- Moving (off-the-grid, towed) sources reject non-finite amplitudes
-// before the decomposition can spread them. ---
-
-TEST_F(FaultInjection, MovingSourceNaNRejectedAtDecomposition) {
-  const tg::Extents3 e{18, 10, 10};
-  auto mov = tc::MovingSources::linear_tow({5.0, 5.0, 5.0}, {11.0, 5.0, 5.0},
-                                           /*n=*/2, /*nt=*/6);
-  const std::vector<real_t> wavelet(6, real_t{1});
-  mov.broadcast_signature(wavelet);
-  mov.amplitude(3, 1) = std::numeric_limits<real_t>::quiet_NaN();
-
-  const auto masks = tc::build_moving_masks(e, mov, sp::InterpKind::Trilinear);
-  try {
-    (void)tc::decompose_moving(masks, mov, sp::InterpKind::Trilinear);
-    FAIL() << "NaN amplitude must be rejected";
-  } catch (const rs::NumericalHealthError& err) {
-    EXPECT_EQ(err.field(), "moving-source");
-    EXPECT_EQ(err.step(), 3);
-    EXPECT_NE(std::string(err.what()).find("timestep 3"), std::string::npos);
   }
 }
 

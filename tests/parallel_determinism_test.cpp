@@ -4,7 +4,7 @@
 // counters — at 1, 2, and 8 worker threads. This is the determinism half of
 // the task-parallel engine's contract (the race-freedom half is the TSan
 // lane over these same tests, `scripts/check.sh --tsan`):
-//   * stencil tiles have disjoint write footprints and the TileGraph's
+//   * stencil tiles have disjoint write footprints and the band plan's
 //     staircase edges serialize every cross-tile dependence, so field
 //     updates are the same arithmetic in a compatible order;
 //   * receiver gathers are staged per (timestep, compressed point) and

@@ -16,9 +16,10 @@
 #include <memory>
 #include <vector>
 
+#include "tempest/analysis/statics/interference.hpp"
+#include "tempest/core/band_plan.hpp"
 #include "tempest/core/compress.hpp"
 #include "tempest/core/precompute.hpp"
-#include "tempest/core/wavefront.hpp"
 #include "tempest/sparse/interp.hpp"
 #include "tempest/sparse/series.hpp"
 #include "tempest/stencil/coefficients.hpp"
@@ -97,7 +98,8 @@ TEST_P(SeededProperty, RandomWavefrontSchedulesAreLegal) {
         static_cast<int>(1 + rng.below(12)),
     };
     const int slope = radius + static_cast<int>(rng.below(2));  // >= radius
-    const auto ops = tc::wavefront_schedule(e, t_begin, t_end, slope, spec);
+    const auto ops =
+        tc::BandPlan::wavefront(e, t_begin, t_end, slope, spec).serial_ops();
     const std::string verdict =
         tc::validate_schedule(e, t_begin, t_end, radius, ops);
     ASSERT_EQ(verdict, "")
@@ -105,6 +107,38 @@ TEST_P(SeededProperty, RandomWavefrontSchedulesAreLegal) {
         << " tiles=(" << spec.tile_t << ',' << spec.tile_x << ','
         << spec.tile_y << ',' << spec.block_x << ',' << spec.block_y << ")"
         << " t=[" << t_begin << ',' << t_end << ")";
+  }
+}
+
+TEST_P(SeededProperty, RandomDiamondPlansAreLegal) {
+  // The engine's diamond plan for a two-substep kernel: slope = radius per
+  // substep, band height 2*tile_t substeps, tile_x auto-widened to the
+  // band's dependency cone.
+  constexpr int S = 2;
+  tu::SplitMix64 rng(GetParam());
+  for (int trial = 0; trial < 8; ++trial) {
+    const tg::Extents3 e{static_cast<int>(4 + rng.below(20)),
+                         static_cast<int>(4 + rng.below(20)),
+                         static_cast<int>(2 + rng.below(6))};
+    const int radius = static_cast<int>(1 + rng.below(4));
+    const int t_begin = static_cast<int>(rng.below(3));
+    const int t_end = t_begin + 1 + static_cast<int>(rng.below(12));
+    const tc::TileSpec spec{
+        static_cast<int>(1 + rng.below(6)),
+        static_cast<int>(2 + rng.below(30)),
+        static_cast<int>(2 + rng.below(30)),
+        static_cast<int>(1 + rng.below(12)),
+        static_cast<int>(1 + rng.below(12)),
+    };
+    const tc::BandPlan plan = tempest::analysis::statics::plan_for(
+        tempest::analysis::ScheduleDescriptor::diamond(radius,
+                                                       S * spec.tile_t),
+        e, spec, S * t_begin, S * t_end);
+    const std::string verdict = tc::validate_schedule(
+        e, S * t_begin, S * t_end, radius, plan.serial_ops());
+    ASSERT_EQ(verdict, "")
+        << "extents=" << e << " radius=" << radius << " " << plan.str()
+        << " substeps=[" << S * t_begin << ',' << S * t_end << ")";
   }
 }
 

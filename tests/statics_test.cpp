@@ -327,6 +327,17 @@ TEST(Lint, DeclaredButNeverLoadedHullIsDeadAccess) {
 
 // --------------------------------------------------------------- interference
 
+namespace {
+
+/// The plan the executors run for `sched` with default tiles on a 192^2
+/// domain, two bands deep.
+tempest::core::BandPlan plan_192(const an::ScheduleDescriptor& sched) {
+  return statics::plan_for(sched, {192, 192, 192}, tempest::core::TileSpec{},
+                           0, 2 * sched.tile_t);
+}
+
+}  // namespace
+
 TEST(Interference, EveryScheduleFamilyProvenRaceFreeForAcoustic) {
   const an::AccessSummary summary = ph::acoustic_access_summary(4);
   const int slope = summary.radius;
@@ -338,25 +349,25 @@ TEST(Interference, EveryScheduleFamilyProvenRaceFreeForAcoustic) {
       an::ScheduleDescriptor::diamond(slope)};
   for (const an::ScheduleDescriptor& sched : schedules) {
     const statics::InterferenceReport report = statics::prove_race_free(
-        statics::TileModel::from_summary(summary, sched, 64, 64, 192, 192,
-                                         /*receivers=*/true));
+        plan_192(sched), statics::Footprint::from_summary(summary,
+                                                          /*receivers=*/true));
     EXPECT_TRUE(report.race_free()) << report.str();
     EXPECT_GT(report.tasks, 0) << sched.str();
   }
   // The wavefront staircase leaves genuinely unordered pairs — the proof
   // checked real obligations rather than a fully serialised DAG.
   const statics::InterferenceReport wf = statics::prove_race_free(
-      statics::TileModel::from_summary(
-          summary, an::ScheduleDescriptor::wavefront(slope), 64, 64, 192,
-          192, true));
+      plan_192(an::ScheduleDescriptor::wavefront(slope)),
+      statics::Footprint::from_summary(summary, true));
   EXPECT_GT(wf.unordered_pairs, 0);
 }
 
 TEST(Interference, UndershotSkewSlopeNamesTheInterferingTilePair) {
-  statics::TileModel tm;
-  tm.schedule = an::ScheduleDescriptor::wavefront(/*slope=*/1, /*tile_t=*/8);
-  tm.radius = 2;  // reads reach 2 per substep, the band only skews by 1
-  const statics::InterferenceReport report = statics::prove_race_free(tm);
+  statics::Footprint fp;
+  fp.radius = 2;  // reads reach 2 per substep, the band only skews by 1
+  const statics::InterferenceReport report = statics::prove_race_free(
+      plan_192(an::ScheduleDescriptor::wavefront(/*slope=*/1, /*tile_t=*/8)),
+      fp);
   EXPECT_FALSE(report.race_free());
   EXPECT_GT(report.conflicts, 0);
   EXPECT_TRUE(message_of(report.diagnostics, "tile-interference", "tile("))

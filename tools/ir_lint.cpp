@@ -50,6 +50,13 @@ struct Entry {
   std::optional<dsl::LoweredKernel> lowered;
 };
 
+/// The plan the interference column proves for a schedule: the executors'
+/// default tile shape on a 192^2 domain, two bands deep.
+tempest::core::BandPlan sweep_plan(const ScheduleDescriptor& sched) {
+  return statics::plan_for(sched, {192, 192, 192}, tempest::core::TileSpec{},
+                           0, 2 * sched.tile_t);
+}
+
 std::vector<ScheduleDescriptor> schedules(int slope) {
   return {ScheduleDescriptor::reference(), ScheduleDescriptor::space_blocked(),
           ScheduleDescriptor::wavefront(slope), ScheduleDescriptor::fused(slope),
@@ -135,10 +142,8 @@ int run_sweep(const std::vector<int>& orders, bool csv) {
       }
       for (const ScheduleDescriptor& sched : schedules(k.summary.radius)) {
         const statics::InterferenceReport iref = statics::prove_race_free(
-            statics::TileModel::from_summary(k.summary, sched,
-                                             /*tile_x=*/64, /*tile_y=*/64,
-                                             /*nx=*/192, /*ny=*/192,
-                                             /*receivers=*/true));
+            sweep_plan(sched),
+            statics::Footprint::from_summary(k.summary, /*receivers=*/true));
         add(k.summary.kernel, so, "interference", sched.str(),
             iref.diagnostics, iref.race_free());
       }
@@ -217,10 +222,11 @@ int run_seeded() {
   //    radius (2): adjacent staircase-unordered tiles overlap, and the
   //    prover must name the interfering tile pair.
   {
-    statics::TileModel tm;
-    tm.schedule = ScheduleDescriptor::wavefront(/*slope=*/1, /*tile_t=*/8);
-    tm.radius = 2;
-    const statics::InterferenceReport iref = statics::prove_race_free(tm);
+    statics::Footprint fp;
+    fp.radius = 2;
+    const statics::InterferenceReport iref = statics::prove_race_free(
+        sweep_plan(ScheduleDescriptor::wavefront(/*slope=*/1, /*tile_t=*/8)),
+        fp);
     expect("tile-interference", iref.diagnostics, "tile-interference");
   }
 

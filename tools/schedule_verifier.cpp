@@ -180,13 +180,15 @@ int main(int argc, char** argv) {
                 !(sched.time_tiled() && sparse && stage == 0);
             bool ok = report.legal() == expect_legal;
 
-            // The statics race proof for this row's band geometry (the
-            // executors' default tile shape): every schedule the legality
-            // layer admits must also be interference-free.
+            // The statics race proof for this row's band plan (the
+            // executors' default tile shape on a 192^2 domain, two bands
+            // deep): every schedule the legality layer admits must also be
+            // interference-free.
             const statics::InterferenceReport iref = statics::prove_race_free(
-                statics::TileModel::from_summary(k.summary, sched,
-                                                 /*tile_x=*/64, /*tile_y=*/64,
-                                                 /*nx=*/192, /*ny=*/192,
+                statics::plan_for(sched, {192, 192, 192},
+                                  tempest::core::TileSpec{}, 0,
+                                  2 * sched.tile_t),
+                statics::Footprint::from_summary(k.summary,
                                                  /*receivers=*/sparse));
             if (!iref.race_free()) ok = false;
             if (!ok) ++mismatches;
