@@ -17,8 +17,10 @@
 #                CRC-clean flight-recorder black box behind); then
 #                SIGKILL a live survey directly and decode its .tfbr
 #                with tools/blackbox_dump, resume it, and check the
-#                box is recycled; finally run a journaled survey and
-#                schema-check its BENCH_survey.json + OpenMetrics file
+#                box is recycled; run a journaled survey and
+#                schema-check its BENCH_survey.json + OpenMetrics file;
+#                finally run a --jit and an AOT wavefront survey and cmp
+#                their gathers (the +jit rung runs the compiled block)
 #   --tidy       run clang-tidy (bugprone + performance, see .clang-tidy)
 #                over every library layer — engine, physics, analysis
 #                (including the statics passes), dsl, codegen, jobs, obs,
@@ -136,6 +138,24 @@ run_chaos() {
   else
     echo "==> python3 not found; skipping JSON schema validation"
   fi
+  echo "==> survey smoke: the +jit rung runs its compiled block, bitwise = AOT"
+  rm -rf build-asan/chaos_survey_aot build-asan/chaos_survey_jit
+  ASAN_OPTIONS="${asan_env}" build-asan/examples/seismic_survey \
+    --size=20 --steps=30 --shots=2 --so=4 --schedule=wavefront \
+    --jobs-dir=build-asan/chaos_survey_aot >/dev/null
+  ASAN_OPTIONS="${asan_env}" build-asan/examples/seismic_survey \
+    --size=20 --steps=30 --shots=2 --so=4 --schedule=wavefront --jit \
+    --jobs-dir=build-asan/chaos_survey_jit >build-asan/chaos_survey_jit.log
+  # A shot that degraded to AOT would cmp equal without proving anything.
+  if [ "$(grep -c "on 'wavefront+jit'" build-asan/chaos_survey_jit.log)" \
+       != 2 ]; then
+    echo "chaos: a --jit shot did not finish on the wavefront+jit rung" >&2
+    cat build-asan/chaos_survey_jit.log >&2
+    exit 1
+  fi
+  for g in build-asan/chaos_survey_aot/shot_*.tpg; do
+    cmp "${g}" "build-asan/chaos_survey_jit/$(basename "${g}")"
+  done
   echo "==> chaos checks passed"
 }
 

@@ -92,8 +92,7 @@ struct LegalityReport {
   [[nodiscard]] std::string str() const;
 };
 
-/// Thrown when a gate (operator build, JIT pre-compile, executor debug
-/// assertion) encounters an illegal schedule; carries the full report.
+/// Thrown when a gate (operator build, executor debug assertion) encounters an illegal schedule; carries the full report.
 class ScheduleLegalityError : public util::PreconditionError {
  public:
   explicit ScheduleLegalityError(LegalityReport report);

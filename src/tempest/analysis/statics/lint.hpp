@@ -8,9 +8,9 @@
 //    declared halo radius. Unreachable through the DSL frontend (loads are
 //    generated from the FD coefficients, bounded by space_order/2), so a
 //    hit means a corrupted or hand-built LoweredKernel whose execution
-//    would read unallocated halo memory; the DslKernel adapter and the
-//    DSL JIT both refuse such trees (see the gates in dsl/kernel.cpp and
-//    codegen/jit.cpp).
+//    would read unallocated halo memory; the DslKernel adapter refuses
+//    such trees, whether its blocks run on the tape or on compiled code
+//    (see the gates in dsl/kernel.cpp).
 //  * "footprint-mismatch" (error) — a load outside the access hull the
 //    kernel declares for its time slice, or a load of a time slice with no
 //    declared read access at all. The declared hulls feed the legality

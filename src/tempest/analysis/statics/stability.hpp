@@ -17,7 +17,7 @@
 // This is the same derivation stencil::acoustic_dt encodes with a 0.9
 // safety factor; here the *hard* bound (safety 1) is checked so specs
 // produced from model.critical_dt() always pass, and anything beyond the
-// mathematical limit is rejected at operator construction / JIT compile
+// mathematical limit is rejected at operator / propagator construction
 // unless OperatorOptions::allow_unstable opts out.
 
 #include <string>

@@ -4,8 +4,9 @@
 // the CFL stability proof and the IR linter over a lowered kernel and
 // folds the three verdicts into a single report, mirroring how
 // analysis::verify_canonical folds the legality diagnostics. The gates —
-// dsl::Operator construction/apply, the DslKernel engine adapter, and the
-// codegen JIT pre-compile — all call require_static_ok(); the
+// dsl::Operator construction/apply and the DslPropagator / DslKernel
+// engine adapter, which also guard any compiled block attached to them —
+// all call require_static_ok(); the
 // tile-interference prover (interference.hpp) is gated separately by the
 // engine because its input is the run's tile geometry, not the kernel.
 //
@@ -75,7 +76,7 @@ void require_static_ok(const StaticsReport& report);
 
 /// Throw StaticVerificationError (with a stability-only report) unless the
 /// verdict is stable. The gates that have a dt but no lowered kernel tree
-/// — JitAcoustic, the TTI/elastic Operator::apply overloads — use this.
+/// — the hand-written-class Operator::apply overloads — use this.
 void require_stable(const StabilityVerdict& verdict,
                     const std::string& kernel);
 
@@ -87,7 +88,7 @@ void require_stable(const StabilityVerdict& verdict,
 /// Bounds derived from a concrete acoustic model: vp/m/damp scanned over
 /// the grid interiors, user bindings scanned likewise, and the wavefield
 /// seeded from the source amplitude. This is what the apply()-time and
-/// JIT-time gates use — the sharpest bounds available.
+/// DslPropagator-construction gates use — the sharpest bounds available.
 [[nodiscard]] BoundEnv model_bounds(const physics::AcousticModel& model,
                                     const dsl::ParamBindings& bindings,
                                     const std::string& field = "u",

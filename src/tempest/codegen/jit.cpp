@@ -10,17 +10,10 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
-#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 
-#include "tempest/analysis/statics/stability.hpp"
-#include "tempest/analysis/statics/verify.hpp"
-#include "tempest/dsl/interpreter.hpp"
-#include "tempest/dsl/kernel.hpp"
-#include "tempest/util/align.hpp"
-#include "tempest/physics/acoustic.hpp"
 #include "tempest/resilience/fault.hpp"
 #include "tempest/obs/metrics.hpp"
 #include "tempest/trace/trace.hpp"
@@ -31,9 +24,6 @@
 namespace tempest::codegen {
 
 namespace {
-
-static_assert(sizeof(core::CompressedSparse::Entry) == 2 * sizeof(int),
-              "Entry must be two interleaved ints for the generated C ABI");
 
 /// Unlinks a temp artifact unless released — the compile/dlopen/dlsym
 /// pipeline has four distinct failure exits and every one of them must
@@ -244,220 +234,16 @@ JitModule::~JitModule() {
   if (!so_path_.empty()) ::unlink(so_path_.c_str());
 }
 
-analysis::LegalityReport verify_kernel_spec(const KernelSpec& spec) {
-  const analysis::AccessSummary kernel =
-      physics::acoustic_access_summary(spec.space_order);
-  const analysis::ScheduleDescriptor sched =
-      spec.wavefront ? analysis::ScheduleDescriptor::wavefront(
-                           kernel.radius, std::max(1, spec.tiles.tile_t))
-                     : analysis::ScheduleDescriptor::space_blocked();
-  return analysis::verify_canonical(kernel, /*stage=*/2, /*sources=*/true,
-                                    /*receivers=*/false, sched);
+namespace {
+
+KernelSpec spec_of(const dsl::LoweredKernel& lowered) {
+  return {.space_order = lowered.space_order, .kernel = lowered.name};
 }
 
-analysis::LegalityReport verify_dsl_spec(const dsl::LoweredKernel& lowered,
-                                         const KernelSpec& spec) {
-  const analysis::AccessSummary kernel = lowered.summary();
-  const analysis::ScheduleDescriptor sched =
-      spec.wavefront ? analysis::ScheduleDescriptor::wavefront(
-                           kernel.radius, std::max(1, spec.tiles.tile_t))
-                     : analysis::ScheduleDescriptor::space_blocked();
-  return analysis::verify_canonical(kernel, /*stage=*/2, /*sources=*/true,
-                                    /*receivers=*/false, sched);
-}
+}  // namespace
 
-JitAcoustic::JitAcoustic(const physics::AcousticModel& model, KernelSpec spec)
-    : model_(model),
-      spec_(spec),
-      dt_(spec.dt > 0.0 ? spec.dt : model.critical_dt()),
-      source_(emit_acoustic_c(spec)),
-      u_(3, model.geom.extents, model.geom.radius()) {
-  TEMPEST_REQUIRE_MSG(model.geom.space_order == spec.space_order,
-                      "model space order must match the generated kernel");
-  analysis::require_legal(verify_kernel_spec(spec));
-  // Statically unstable specs are refused before the compiler runs: like
-  // an illegal schedule, a dt beyond the von Neumann bound is a caller
-  // bug, so StaticVerificationError propagates — no fallback.
-  analysis::statics::require_stable(
-      analysis::statics::check_acoustic_stability(
-          dt_, model.geom.spacing, spec.space_order,
-          analysis::statics::grid_interval(model.vp)),
-      spec.kernel);
-  try {
-    module_.emplace(source_, spec.symbol());
-  } catch (const util::PreconditionError& e) {
-    // Resilience over speed: a broken toolchain degrades the run to the
-    // tree-walking reference interpreter instead of aborting it.
-    util::warn(
-        std::string("JIT compilation failed; falling back to the DSL "
-                    "interpreter (orders of magnitude slower, same "
-                    "physics): ") +
-        e.what());
-  }
-}
-
-void JitAcoustic::run(const sparse::SparseTimeSeries& src) {
-  const int nt = src.nt();
-  TEMPEST_REQUIRE(nt >= 2);
-  u_.fill(real_t{0});
-
-  if (!module_.has_value()) {
-    // Interpreter fallback: evaluate the same symbolic acoustic equation
-    // the pattern matcher recognises, with naive injection. Produces the
-    // final wavefield only — the intermediate slices of a JIT run are an
-    // implementation detail of the circular buffer anyway.
-    dsl::Grid g{model_.geom.extents, model_.geom.spacing};
-    dsl::TimeFunction u("u", g, model_.geom.space_order, 2);
-    const dsl::Eq update = dsl::solve(dsl::param("m") * u.dt2() +
-                                          dsl::param("damp") * u.dt() -
-                                          u.laplace(),
-                                      u.forward());
-    dsl::Interpreter interp(update, model_, dt_);
-    u_.at(nt) = interp.run(src, sparse::InterpKind::Trilinear);
-    return;
-  }
-
-  const auto& e = model_.geom.extents;
-  const core::SourceMasks masks =
-      core::build_source_masks(e, src, sparse::InterpKind::Trilinear);
-  const core::DecomposedSource dcmp =
-      core::decompose_sources(masks, src, sparse::InterpKind::Trilinear);
-  const core::CompressedSparse cs(masks.sm, masks.sid);
-
-  // The generated TU's vectorization contract (see emit_update_block):
-  // field and model storage must come from the 64-byte-aligned
-  // util::AlignedAllocator pool. Grids guarantee this by construction;
-  // assert it where the pointers cross the C ABI so a future layout change
-  // fails loudly instead of silently de-optimizing the SIMD loop.
-  constexpr auto base_aligned = [](const void* p) {
-    return reinterpret_cast<std::uintptr_t>(p) % util::kAlignment == 0;
-  };
-  TEMPEST_REQUIRE_MSG(base_aligned(u_.slot(0).raw()) &&
-                          base_aligned(u_.slot(1).raw()) &&
-                          base_aligned(u_.slot(2).raw()) &&
-                          base_aligned(model_.m.raw()) &&
-                          base_aligned(model_.damp.raw()),
-                      "field allocations lost their 64-byte alignment");
-
-  auto* fn = module_->as<AcousticKernelC>();
-  const float inv_h2 = static_cast<float>(
-      1.0 / (model_.geom.spacing * model_.geom.spacing));
-  const float idt2 = static_cast<float>(1.0 / (dt_ * dt_));
-  const float i2dt = static_cast<float>(1.0 / (2.0 * dt_));
-  const float dt2 = static_cast<float>(dt_ * dt_);
-
-  fn(u_.slot(0).origin(), u_.slot(1).origin(), u_.slot(2).origin(),
-     model_.m.origin(), model_.damp.origin(), e.nx, e.ny, e.nz,
-     u_.slot(0).stride_x(), u_.slot(0).stride_y(), 1, nt, inv_h2, idt2, i2dt,
-     dt2, cs.raw_offsets(), reinterpret_cast<const int*>(cs.raw_entries()),
-     dcmp.data(), dcmp.npts());
-}
-
-JitDsl::JitDsl(const dsl::Eq& eq, const physics::AcousticModel& model,
-               KernelSpec spec, dsl::ParamBindings bindings)
-    : model_(model),
-      spec_(std::move(spec)),
-      dt_(spec_.dt > 0.0 ? spec_.dt : model.critical_dt()),
-      lowered_(dsl::lower_kernel(eq, spec_.space_order, model.geom.spacing,
-                                 dt_, spec_.kernel)),
-      bindings_(std::move(bindings)),
-      source_(emit_dsl_c(lowered_, spec_)),
-      u_(3, model.geom.extents, model.geom.radius()) {
-  init();
-}
-
-JitDsl::JitDsl(dsl::LoweredKernel lowered, const physics::AcousticModel& model,
-               KernelSpec spec, dsl::ParamBindings bindings)
-    : model_(model),
-      spec_(std::move(spec)),
-      dt_(spec_.dt > 0.0 ? spec_.dt : model.critical_dt()),
-      lowered_(std::move(lowered)),
-      bindings_(std::move(bindings)),
-      source_(emit_dsl_c(lowered_, spec_)),
-      u_(3, model.geom.extents, model.geom.radius()) {
-  init();
-}
-
-void JitDsl::init() {
-  TEMPEST_REQUIRE_MSG(model_.geom.space_order == spec_.space_order,
-                      "model space order must match the generated kernel");
-  TEMPEST_REQUIRE_MSG(lowered_.space_order == spec_.space_order,
-                      "lowered kernel space order must match the spec");
-  // Binding errors are caller bugs — surface them before any compile.
-  (void)dsl::resolve_params(lowered_, model_, bindings_);
-  analysis::require_legal(verify_dsl_spec(lowered_, spec_));
-  // Full statics verdict (intervals, von Neumann proof at the real space
-  // order and dt, IR lint against the model halo) before the compiler is
-  // paid for. Like ScheduleLegalityError, StaticVerificationError
-  // propagates: a statically diverging or halo-breaking kernel is a
-  // caller bug, not a toolchain failure, so no interpreter fallback.
-  analysis::statics::StaticsOptions sopts;
-  sopts.bounds =
-      analysis::statics::model_bounds(model_, bindings_, lowered_.field);
-  sopts.resolvable = analysis::statics::resolvable_names(bindings_);
-  sopts.declared_radius = model_.geom.radius();
-  sopts.dt = dt_;
-  analysis::statics::require_static_ok(
-      analysis::statics::verify_statics(lowered_, sopts));
-  try {
-    module_.emplace(source_, spec_.symbol());
-  } catch (const util::PreconditionError& e) {
-    util::warn(
-        std::string("JIT compilation failed; falling back to the typed-IR "
-                    "interpreter (orders of magnitude slower, same bits): ") +
-        e.what());
-  }
-}
-
-void JitDsl::run(const sparse::SparseTimeSeries& src) {
-  const int nt = src.nt();
-  TEMPEST_REQUIRE(nt >= 2);
-  u_.fill(real_t{0});
-
-  if (!module_.has_value()) {
-    // Typed-IR fallback: walks the identical update tree in real_t, so the
-    // final wavefield matches the compiled module bit-for-bit.
-    dsl::TypedInterpreter interp(lowered_, model_, dt_, bindings_);
-    u_.at(nt) = interp.run(src, sparse::InterpKind::Trilinear);
-    return;
-  }
-
-  const auto& e = model_.geom.extents;
-  const core::SourceMasks masks =
-      core::build_source_masks(e, src, sparse::InterpKind::Trilinear);
-  const core::DecomposedSource dcmp =
-      core::decompose_sources(masks, src, sparse::InterpKind::Trilinear);
-  const core::CompressedSparse cs(masks.sm, masks.sid);
-
-  const auto grids = dsl::resolve_params(lowered_, model_, bindings_);
-  std::vector<const float*> prm;
-  prm.reserve(grids.size());
-  constexpr auto base_aligned = [](const void* p) {
-    return reinterpret_cast<std::uintptr_t>(p) % util::kAlignment == 0;
-  };
-  for (std::size_t i = 0; i < grids.size(); ++i) {
-    TEMPEST_REQUIRE_MSG(
-        grids[i]->stride_x() == u_.slot(0).stride_x() &&
-            grids[i]->stride_y() == u_.slot(0).stride_y(),
-        "parameter grid '" + lowered_.params[i] +
-            "' does not match the wavefield layout");
-    TEMPEST_REQUIRE_MSG(base_aligned(grids[i]->raw()),
-                        "parameter allocations lost their 64-byte alignment");
-    prm.push_back(grids[i]->origin());
-  }
-  TEMPEST_REQUIRE_MSG(base_aligned(u_.slot(0).raw()) &&
-                          base_aligned(u_.slot(1).raw()) &&
-                          base_aligned(u_.slot(2).raw()) &&
-                          base_aligned(model_.m.raw()),
-                      "field allocations lost their 64-byte alignment");
-
-  auto* fn = module_->as<DslKernelC>();
-  const float dt2 = static_cast<float>(dt_ * dt_);
-  fn(u_.slot(0).origin(), u_.slot(1).origin(), u_.slot(2).origin(),
-     model_.m.origin(), prm.data(), e.nx, e.ny, e.nz, u_.slot(0).stride_x(),
-     u_.slot(0).stride_y(), 1, nt, dt2, cs.raw_offsets(),
-     reinterpret_cast<const int*>(cs.raw_entries()), dcmp.data(),
-     dcmp.npts());
-}
+CompiledBlock::CompiledBlock(const dsl::LoweredKernel& lowered)
+    : source_(emit_dsl_c(lowered, spec_of(lowered))),
+      module_(source_, spec_of(lowered).symbol()) {}
 
 }  // namespace tempest::codegen

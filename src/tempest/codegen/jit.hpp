@@ -1,14 +1,9 @@
 #pragma once
 
-#include <optional>
 #include <string>
 
-#include "tempest/analysis/legality.hpp"
 #include "tempest/codegen/emit.hpp"
-#include "tempest/core/compress.hpp"
-#include "tempest/core/precompute.hpp"
-#include "tempest/grid/time_buffer.hpp"
-#include "tempest/physics/model.hpp"
+#include "tempest/dsl/kernel.hpp"
 #include "tempest/util/error.hpp"
 
 namespace tempest::codegen {
@@ -16,28 +11,12 @@ namespace tempest::codegen {
 /// Compiler invocation failed after the retry budget (or timed out — a
 /// deadline overrun is never retried, it would hang twice as long). Derives
 /// from util::TransientError: the toolchain may recover on a later attempt,
-/// so job-level retry policies treat it as retryable, while JitAcoustic's
-/// constructor degrades to the interpreter immediately.
+/// so job-level retry policies treat it as retryable (the survey retries,
+/// then degrades its `+jit` rung to the AOT kernel).
 class JitCompileError : public util::TransientError {
  public:
   using util::TransientError::TransientError;
 };
-
-/// Pre-compile legality gate. The generated translation unit implements the
-/// stage-2 nest (precomputed + fused + compressed sparse injection), so the
-/// schedule the spec requests is verified against that nest's dependence
-/// graph *before* paying for a compiler invocation. JitAcoustic calls this
-/// from its constructor and lets analysis::ScheduleLegalityError propagate:
-/// an illegal schedule is a caller bug, not a toolchain failure, so it does
-/// not take the interpreter-fallback path.
-[[nodiscard]] analysis::LegalityReport verify_kernel_spec(
-    const KernelSpec& spec);
-
-/// The same gate for a DSL-lowered kernel: verifies the spec's schedule
-/// against the *lowered* access summary (whatever radius / time reads the
-/// equation actually has) instead of the hand-written acoustic one.
-[[nodiscard]] analysis::LegalityReport verify_dsl_spec(
-    const dsl::LoweredKernel& lowered, const KernelSpec& spec);
 
 /// JIT host: compiles a C translation unit with the system C compiler into
 /// a shared object and loads one symbol — the run-time half of the
@@ -86,104 +65,21 @@ class JitModule {
   std::string so_path_;
 };
 
-/// The C ABI every generated acoustic kernel implements (see
-/// emit.hpp::kSignatureDoc).
-using AcousticKernelC = void(float* u0, float* u1, float* u2, const float* m,
-                             const float* damp, int nx, int ny, int nz,
-                             long sx, long sy, int t_begin, int t_end,
-                             float inv_h2, float idt2, float i2dt, float dt2,
-                             const int* cs_offsets, const int* cs_zid,
-                             const float* dcmp, int npts);
-
-/// Emit + compile + wrap an acoustic kernel, and drive it against the same
-/// field/model/precompute structures the AOT propagator uses. Used by the
-/// jit tests and the codegen example; produces the same wavefield as
-/// physics::AcousticPropagator under the matching schedule.
-class JitAcoustic {
+/// The generated per-block update of one lowered kernel, compiled and
+/// loaded: emit_dsl_c + JitModule. Attach fn() to the dsl::DslPropagator
+/// that produced `lowered` and keep this object alive while it runs. Build
+/// it after that propagator: its statics gate (stable dt, no out-of-halo
+/// load) then runs before the compiler is paid for.
+class CompiledBlock {
  public:
-  JitAcoustic(const physics::AcousticModel& model, KernelSpec spec);
+  explicit CompiledBlock(const dsl::LoweredKernel& lowered);
 
-  /// Propagate: zeroes the buffer, runs ops t in [1, nt) with fused
-  /// injection from the decomposed sources. When compilation failed at
-  /// construction, runs the same physics through the DSL tree-walking
-  /// interpreter instead (much slower, same result).
-  void run(const sparse::SparseTimeSeries& src);
-
-  /// True when compilation failed and run() uses the interpreter fallback.
-  [[nodiscard]] bool used_interpreter_fallback() const {
-    return !module_.has_value();
-  }
-
-  [[nodiscard]] const grid::Grid3<real_t>& wavefield(int t) const {
-    return u_.at(t);
-  }
-  [[nodiscard]] double dt() const { return dt_; }
+  [[nodiscard]] dsl::BlockFn* fn() const { return module_.as<dsl::BlockFn>(); }
   [[nodiscard]] const std::string& source_code() const { return source_; }
 
  private:
-  const physics::AcousticModel& model_;
-  KernelSpec spec_;
-  double dt_;
   std::string source_;
-  std::optional<JitModule> module_;
-  grid::TimeBuffer<real_t> u_;
-};
-
-/// The C ABI every generated DSL kernel implements (see
-/// emit.hpp::kDslSignatureDoc): coefficient grids arrive as an array of
-/// interior origins in lowered.params order.
-using DslKernelC = void(float* u0, float* u1, float* u2, const float* m,
-                        const float* const* prm, int nx, int ny, int nz,
-                        long sx, long sy, int t_begin, int t_end, float dt2,
-                        const int* cs_offsets, const int* cs_zid,
-                        const float* dcmp, int npts);
-
-/// Emit + compile + drive a DSL-lowered kernel — the fully generic half of
-/// the Devito-style workflow: any equation dsl::lower_kernel accepts
-/// becomes a compiled translation unit, legality-checked against its own
-/// access summary before the compiler runs. On toolchain failure run()
-/// degrades to the typed-IR interpreter, which evaluates the identical
-/// expression tree in real_t, so results are bit-identical either way.
-class JitDsl {
- public:
-  JitDsl(const dsl::Eq& eq, const physics::AcousticModel& model,
-         KernelSpec spec, dsl::ParamBindings bindings = {});
-
-  /// Compile an already-lowered kernel tree. Same gates as the Eq
-  /// overload (legality, statics, bindings) — this is the path the statics
-  /// tests use to prove that a *corrupted* tree (e.g. a load beyond the
-  /// declared halo) is refused at compile time, something the Eq overload
-  /// cannot produce because lower_kernel never emits one.
-  JitDsl(dsl::LoweredKernel lowered, const physics::AcousticModel& model,
-         KernelSpec spec, dsl::ParamBindings bindings = {});
-
-  /// Propagate: zeroes the buffer, runs ops t in [1, nt) with fused
-  /// injection from the decomposed sources.
-  void run(const sparse::SparseTimeSeries& src);
-
-  [[nodiscard]] bool used_interpreter_fallback() const {
-    return !module_.has_value();
-  }
-  [[nodiscard]] const grid::Grid3<real_t>& wavefield(int t) const {
-    return u_.at(t);
-  }
-  [[nodiscard]] double dt() const { return dt_; }
-  [[nodiscard]] const std::string& source_code() const { return source_; }
-  [[nodiscard]] const dsl::LoweredKernel& lowered() const { return lowered_; }
-
- private:
-  /// Shared ctor tail: binding resolution, legality + statics gates,
-  /// compile (with interpreter fallback on toolchain failure only).
-  void init();
-
-  const physics::AcousticModel& model_;
-  KernelSpec spec_;
-  double dt_;
-  dsl::LoweredKernel lowered_;
-  dsl::ParamBindings bindings_;
-  std::string source_;
-  std::optional<JitModule> module_;
-  grid::TimeBuffer<real_t> u_;
+  JitModule module_;
 };
 
 }  // namespace tempest::codegen

@@ -53,11 +53,6 @@ class CompressedSparse {
   /// True if no column has any entry (e.g. zero sources).
   [[nodiscard]] bool empty() const { return data_.empty(); }
 
-  /// Raw CSR views for generated-code consumers (codegen/): offsets has
-  /// nx*ny + 1 ints; entries are (z, id) int pairs, interleaved.
-  [[nodiscard]] const int* raw_offsets() const { return offsets_.data(); }
-  [[nodiscard]] const Entry* raw_entries() const { return data_.data(); }
-
  private:
   [[nodiscard]] std::size_t column(int x, int y) const {
     return static_cast<std::size_t>(x) * static_cast<std::size_t>(ny_) +

@@ -187,12 +187,8 @@ real_t eval_typed(const ir::Expr& e, const grid::TimeBuffer<real_t>& u,
 
 TypedInterpreter::TypedInterpreter(const LoweredKernel& lowered,
                                    const physics::AcousticModel& model,
-                                   double dt, ParamBindings bindings)
-    : lowered_(lowered),
-      model_(model),
-      dt_(dt),
-      bindings_(std::move(bindings)) {
-  TEMPEST_REQUIRE(dt > 0.0);
+                                   ParamBindings bindings)
+    : lowered_(lowered), model_(model), bindings_(std::move(bindings)) {
   TEMPEST_REQUIRE_MSG(lowered.update != nullptr,
                       "typed interpreter needs a lowered update tree");
 }
@@ -203,34 +199,6 @@ real_t TypedInterpreter::eval_at(const grid::TimeBuffer<real_t>& u, int t,
   const auto prm = resolve_params(lowered_, model_, bindings_);
   return eval_typed(*lowered_.update, u, prm, lowered_.params, t, x, y, z,
                     observer);
-}
-
-grid::Grid3<real_t> TypedInterpreter::run(const sparse::SparseTimeSeries& src,
-                                          sparse::InterpKind kind) const {
-  const auto& e = model_.geom.extents;
-  grid::TimeBuffer<real_t> u(3, e, model_.geom.radius(), real_t{0});
-  const int nt = src.nt();
-  const auto prm = resolve_params(lowered_, model_, bindings_);
-
-  const auto& m_grid = model_.m;
-  const double dt2 = dt_ * dt_;
-  auto inj_scale = [&](int x, int y, int z) {
-    return dt2 / m_grid(x, y, z);
-  };
-
-  for (int t = 1; t < nt; ++t) {
-    auto& next = u.at(t + 1);
-    for (int x = 0; x < e.nx; ++x) {
-      for (int y = 0; y < e.ny; ++y) {
-        for (int z = 0; z < e.nz; ++z) {
-          next(x, y, z) = eval_typed(*lowered_.update, u, prm,
-                                     lowered_.params, t, x, y, z, {});
-        }
-      }
-    }
-    sparse::inject(next, src, t, kind, inj_scale);
-  }
-  return u.at(nt);
 }
 
 }  // namespace tempest::dsl

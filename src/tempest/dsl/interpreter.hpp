@@ -63,7 +63,7 @@ using LoadObserver =
 class TypedInterpreter {
  public:
   TypedInterpreter(const LoweredKernel& lowered,
-                   const physics::AcousticModel& model, double dt,
+                   const physics::AcousticModel& model,
                    ParamBindings bindings = {});
 
   /// Evaluate the update at one interior point. `observer`, when set, is
@@ -72,16 +72,9 @@ class TypedInterpreter {
                                int x, int y, int z,
                                const LoadObserver& observer = {}) const;
 
-  /// Propagate src for src.nt() steps with naive injection (scale dt^2/m)
-  /// and return the final wavefield — same driver loop as Interpreter::run,
-  /// but through the typed tree.
-  [[nodiscard]] grid::Grid3<real_t> run(const sparse::SparseTimeSeries& src,
-                                        sparse::InterpKind kind) const;
-
  private:
   const LoweredKernel& lowered_;
   const physics::AcousticModel& model_;
-  double dt_;
   ParamBindings bindings_;
 };
 

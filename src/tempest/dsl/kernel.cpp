@@ -1,10 +1,12 @@
 #include "tempest/dsl/kernel.hpp"
 
+#include <cstdint>
 #include <optional>
 #include <utility>
 
 #include "tempest/analysis/statics/lint.hpp"
 #include "tempest/analysis/statics/verify.hpp"
+#include "tempest/util/align.hpp"
 #include "tempest/util/error.hpp"
 
 namespace tempest::dsl {
@@ -40,6 +42,14 @@ std::optional<real_t> fold(const ir::Expr& e) {
 }
 
 }  // namespace
+
+Eq acoustic_equation() {
+  // The symbolic order is nominal: lower_kernel takes the real one.
+  const Grid g;
+  const TimeFunction u("u", g, 4, 2);
+  return solve(param("m") * u.dt2() + param("damp") * u.dt() - u.laplace(),
+               u.forward());
+}
 
 std::vector<const grid::Grid3<real_t>*> resolve_params(
     const LoweredKernel& lowered, const physics::AcousticModel& model,
@@ -127,11 +137,13 @@ int DslKernel::flatten(const ir::Expr& e) {
 DslKernel::DslKernel(const LoweredKernel& lowered,
                      const physics::AcousticModel& model,
                      const ParamBindings& bindings,
-                     grid::TimeBuffer<real_t>& u, double dt)
+                     grid::TimeBuffer<real_t>& u, double dt,
+                     BlockFn* block)
     : lowered_(lowered),
       model_(model),
       u_(u),
       field_name_(lowered.field),
+      block_(block),
       dt2_(static_cast<real_t>(dt * dt)),
       sx_(u.at(0).stride_x()),
       sy_(u.at(0).stride_y()) {
@@ -178,6 +190,16 @@ DslKernel::DslKernel(const LoweredKernel& lowered,
 }
 
 void DslKernel::apply(int t, const grid::Box3& b) {
+  if (block_ != nullptr) {
+    block_(u_.at(t + 1).origin(), u_.at(t).origin(), u_.at(t - 1).origin(),
+           prm_.data(), sx_, sy_, b.x.lo, b.x.hi, b.y.lo, b.y.hi, b.z.lo,
+           b.z.hi);
+  } else {
+    apply_tape(t, b);
+  }
+}
+
+void DslKernel::apply_tape(int t, const grid::Box3& b) {
   real_t* __restrict un = u_.at(t + 1).origin();
   const real_t* base[2] = {u_.at(t).origin(), u_.at(t - 1).origin()};
   const Op* const tape = tape_.data();
@@ -251,9 +273,24 @@ physics::RunStats DslPropagator::run_from(int t_begin, physics::Schedule sched,
                                           const sparse::SparseTimeSeries& src,
                                           sparse::SparseTimeSeries* rec,
                                           const StepCallback& on_step) {
-  DslKernel kernel(lowered_, model_, bindings_, u_, dt_);
+  DslKernel kernel(lowered_, model_, bindings_, u_, dt_, block_);
   core::engine::ScheduleExecutor executor(kernel, opts_);
   return executor.run_from(t_begin, sched, src, rec, on_step);
+}
+
+void DslPropagator::attach_block(BlockFn* block) {
+  if (block != nullptr) {
+    // Shared strides (one sx/sy for every array) are DslKernel's check,
+    // made before any block runs on either path.
+    auto grids = resolve_params(lowered_, model_, bindings_);
+    for (int s = 0; s < u_.slots(); ++s) grids.push_back(&u_.slot(s));
+    for (const grid::Grid3<real_t>* g : grids) {
+      TEMPEST_REQUIRE_MSG(
+          reinterpret_cast<std::uintptr_t>(g->raw()) % util::kAlignment == 0,
+          "a compiled block needs 64-byte-aligned field allocations");
+    }
+  }
+  block_ = block;
 }
 
 resilience::Checkpoint DslPropagator::capture(

@@ -2,17 +2,20 @@
 
 // The engine adapter for DSL-authored physics: a PhysicsKernel whose
 // per-block update evaluates the lowered expression tree (dsl::lower) in
-// real_t via a compiled postorder tape, plus a propagator wrapper mirroring
-// physics::AcousticPropagator. DSL-authored equations thereby run under
-// every schedule — reference, space-blocked, wavefront, fused, diamond —
-// with trace, health monitoring, checkpointing, task parallelism and the
-// autotuner unchanged, and (because the tape preserves the lowering's
-// operand association under the project's value-safe FP flags) the acoustic
-// equation authored in the DSL is bit-identical to the hand-written kernel.
+// real_t via a compiled postorder tape — or, when one is attached, calls the
+// same tree compiled to C (codegen::CompiledBlock) — plus a propagator
+// wrapper mirroring physics::AcousticPropagator. DSL-authored equations
+// thereby run under every schedule — reference, space-blocked, wavefront,
+// fused, diamond — with trace, health monitoring, checkpointing, task
+// parallelism and the autotuner unchanged, and (because the tape preserves
+// the lowering's operand association under the project's value-safe FP
+// flags) the acoustic equation authored in the DSL is bit-identical to the
+// hand-written kernel.
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "tempest/analysis/access.hpp"
@@ -27,18 +30,35 @@
 
 namespace tempest::dsl {
 
+/// The C ABI of a compiled per-block update (codegen::emit_dsl_c renders
+/// it): writes `un` (slice t+1) over [x0,x1) x [y0,y1) x [z0,z1) from `uc`
+/// (t) and `up` (t-1). Every pointer is a grid's interior origin, `prm[i]`
+/// that of lowered.params[i]; sx/sy are the shared strides. Declared here so
+/// dsl/ does not depend on codegen/.
+using BlockFn = void(float* un, const float* uc, const float* up,
+                     const float* const* prm, long sx, long sy, int x0,
+                     int x1, int y0, int y1, int z0, int z1);
+static_assert(std::is_same_v<real_t, float>,
+              "BlockFn passes fields as float");
+
+/// The isotropic acoustic equation m u_tt + damp u_t - lap(u) = 0, solved
+/// for u.forward: what physics::AcousticPropagator hand-codes. Lowered at
+/// the model's space order it reproduces that kernel bit for bit.
+[[nodiscard]] Eq acoustic_equation();
+
 /// Resolve a lowering's parameter names to coefficient grids: user bindings
 /// win, then the model's own fields by conventional name ("m", "damp",
 /// "vp"). Throws for names neither source provides. Shared by the engine
-/// adapter, the typed interpreter and the JIT driver so every execution
-/// path binds identically.
+/// adapter, the typed interpreter and the block attach check so every
+/// execution path binds identically.
 [[nodiscard]] std::vector<const grid::Grid3<real_t>*> resolve_params(
     const LoweredKernel& lowered, const physics::AcousticModel& model,
     const ParamBindings& bindings);
 
 /// PhysicsKernel over a LoweredKernel: three-slot time buffer, single
 /// injection/gather field, `dt^2 / m` injection scaling (the Devito
-/// convention every tempest kernel uses).
+/// convention every tempest kernel uses). apply() runs `block` when one is
+/// given, the tape otherwise.
 class DslKernel {
  public:
   static constexpr int kSubstepsPerStep = 1;
@@ -46,7 +66,7 @@ class DslKernel {
 
   DslKernel(const LoweredKernel& lowered, const physics::AcousticModel& model,
             const ParamBindings& bindings, grid::TimeBuffer<real_t>& u,
-            double dt);
+            double dt, BlockFn* block = nullptr);
 
   [[nodiscard]] const grid::Extents3& extents() const {
     return model_.geom.extents;
@@ -86,12 +106,19 @@ class DslKernel {
 
   int flatten(const ir::Expr& e);
 
+  /// The tape walk over one block. Out of line so the compiled-block
+  /// dispatch in apply() leaves the tape loop's code generation alone:
+  /// fused into apply(), the tape ran the dsl-sponge benchmark 9-25%
+  /// slower (GCC 12, 4-vCPU Xeon).
+  [[gnu::noinline]] void apply_tape(int t, const grid::Box3& b);
+
   const LoweredKernel& lowered_;
   const physics::AcousticModel& model_;
   grid::TimeBuffer<real_t>& u_;
   std::string field_name_;
   std::vector<const real_t*> prm_;  ///< param origins, lowered_.params order
   std::vector<Op> tape_;
+  BlockFn* block_;
   real_t dt2_;
   std::ptrdiff_t sx_, sy_;
 };
@@ -127,6 +154,13 @@ class DslPropagator {
 
   void restore(const resilience::Checkpoint& ck);
 
+  /// Run every block through `block` — the compiled update of lowered()
+  /// (codegen::CompiledBlock) — instead of the tape; nullptr restores the
+  /// tape, the default. The caller keeps the code loaded while this
+  /// propagator runs. Checks the generated code's alignment contract
+  /// here: every wavefield and parameter allocation on a 64-byte base.
+  void attach_block(BlockFn* block);
+
   [[nodiscard]] const grid::Grid3<real_t>& wavefield(int t) const {
     return u_.at(t);
   }
@@ -145,6 +179,7 @@ class DslPropagator {
   LoweredKernel lowered_;
   ParamBindings bindings_;
   grid::TimeBuffer<real_t> u_;
+  BlockFn* block_ = nullptr;
 };
 
 }  // namespace tempest::dsl

@@ -136,7 +136,7 @@ Operator::Operator(std::vector<Eq> updates,
   // Static CFL proof at the space-order-2 floor: S1 = sum|w| grows with
   // the order, so the so=2 bound is the loosest over admissible orders —
   // a dt it rejects is unstable at *every* order, making the rejection
-  // definitive with no model bound yet. apply()/JIT re-check sharply.
+  // definitive with no model bound yet. apply() re-checks sharply.
   if (options_.dt > 0.0 && options_.spacing > 0.0 &&
       !options_.allow_unstable) {
     const auto vp = options_.declared_bounds.find("vp");

@@ -47,7 +47,7 @@ struct OperatorOptions {
   /// when `dt` and `spacing` are set the von Neumann bound is checked at
   /// the space-order-2 floor — the loosest bound over admissible orders,
   /// so a construction-time rejection is definitive. Empty skips the
-  /// construction-time passes; apply()/JIT always re-check sharply against
+  /// construction-time passes; apply() always re-checks sharply against
   /// the concrete model.
   analysis::statics::BoundEnv declared_bounds{};
   /// Grid spacing for the construction-time CFL check; 0 = unknown until

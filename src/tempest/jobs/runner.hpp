@@ -41,8 +41,6 @@ struct Attempt {
 
 struct AttemptResult {
   double seconds = 0.0;
-  bool degraded = false;  ///< executor degraded internally (e.g. JIT ->
-                          ///< interpreter) even though the level held
   std::string detail;
 };
 

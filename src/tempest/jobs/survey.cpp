@@ -7,9 +7,10 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <type_traits>
 
-#include "tempest/codegen/emit.hpp"
 #include "tempest/codegen/jit.hpp"
+#include "tempest/dsl/kernel.hpp"
 #include "tempest/io/io.hpp"
 #include "tempest/jobs/runner.hpp"
 #include "tempest/jobs/watchdog.hpp"
@@ -135,51 +136,15 @@ void retain_or_recycle_blackbox(const SurveySpec& spec, const Attempt& a,
 }
 #endif  // !TEMPEST_TRACE_DISABLED
 
-/// One attempt of one shot, generic over the uniform propagator surface
-/// (run/run_from/capture/restore). Throws on failure; the Runner's
-/// classify() decides retry vs degrade vs quarantine.
-template <typename Propagator, typename Model>
-AttemptResult run_shot(const Model& model, const SurveySpec& spec,
-                       const std::vector<SurveyRung>& ladder,
-                       std::uint64_t base_fp, const Attempt& a) {
-  const SurveyRung& rung = ladder.at(static_cast<std::size_t>(a.level));
-#if !defined(TEMPEST_TRACE_DISABLED)
-  const BlackboxScope blackbox(spec, a);
-#endif
-  const int n = spec.n;
+/// The propagation half of one attempt: checkpoint resume (barrier rungs),
+/// the watched run, and the atomic gather commit.
+template <typename Propagator>
+AttemptResult propagate_shot(Propagator& prop, const SurveySpec& spec,
+                             const SurveyRung& rung, const Attempt& a,
+                             std::uint64_t base_fp,
+                             const sparse::SparseTimeSeries& src,
+                             sparse::SparseTimeSeries& gather) {
   const int nt = spec.nt;
-  const double dt = model.critical_dt();
-  const auto wavelet = sparse::ricker(nt, dt, 0.008);
-
-  // Shots march along x at 1/4 .. 3/4 of the line, off-the-grid.
-  const double fx =
-      0.25 + 0.5 * a.job / std::max(1, spec.n_shots - 1);
-  sparse::SparseTimeSeries src(
-      {{fx * (n - 1) + 0.37, 0.5 * (n - 1) + 0.61, 0.1 * (n - 1) + 0.43}},
-      nt);
-  src.broadcast_signature(wavelet);
-  const sparse::CoordList rec_coords =
-      sparse::receiver_carpet(model.geom.extents, 16, 8);
-  sparse::SparseTimeSeries gather(rec_coords, nt);
-
-  if (rung.jit) {
-    // Compile + load the generated operator for this rung before any
-    // propagation. A broken toolchain throws JitCompileError here —
-    // transient, so the Runner retries with backoff and, once the budget
-    // is spent, degrades the shot to the AOT rung below.
-    codegen::KernelSpec kspec;
-    kspec.space_order = spec.space_order;
-    kspec.wavefront = rung.sched == Schedule::Wavefront;
-    const codegen::JitModule compiled(codegen::emit_acoustic_c(kspec),
-                                      kspec.symbol());
-    TEMPEST_REQUIRE(compiled.symbol() != nullptr);
-  }
-
-  physics::PropagatorOptions opts;
-  opts.tiles = core::TileSpec{8, 64, 64, 8, 8};
-  opts.health.check_every = spec.health_every;
-  Propagator prop(model, opts);
-
   const std::uint64_t fp = shot_fingerprint(base_fp, a.job, rung, a.level);
   resilience::Checkpointer ckpt(shot_ckpt_path(spec, a.job));
   const bool barrier = is_barrier(rung.sched);
@@ -269,6 +234,55 @@ AttemptResult run_shot(const Model& model, const SurveySpec& spec,
   res.detail = rung.name;
   TEMPEST_OBS_RECORD_NS(ShotSeconds, res.seconds * 1e9);
   return res;
+}
+
+/// One attempt of one shot, generic over the uniform propagator surface
+/// (run/run_from/capture/restore). Throws on failure; the Runner's
+/// classify() decides retry vs degrade vs quarantine.
+template <typename Propagator, typename Model>
+AttemptResult run_shot(const Model& model, const SurveySpec& spec,
+                       const std::vector<SurveyRung>& ladder,
+                       std::uint64_t base_fp, const Attempt& a) {
+  const SurveyRung& rung = ladder.at(static_cast<std::size_t>(a.level));
+#if !defined(TEMPEST_TRACE_DISABLED)
+  const BlackboxScope blackbox(spec, a);
+#endif
+  const int n = spec.n;
+  const int nt = spec.nt;
+  const double dt = model.critical_dt();
+  const auto wavelet = sparse::ricker(nt, dt, 0.008);
+
+  // Shots march along x at 1/4 .. 3/4 of the line, off-the-grid.
+  const double fx =
+      0.25 + 0.5 * a.job / std::max(1, spec.n_shots - 1);
+  sparse::SparseTimeSeries src(
+      {{fx * (n - 1) + 0.37, 0.5 * (n - 1) + 0.61, 0.1 * (n - 1) + 0.43}},
+      nt);
+  src.broadcast_signature(wavelet);
+  const sparse::CoordList rec_coords =
+      sparse::receiver_carpet(model.geom.extents, 16, 8);
+  sparse::SparseTimeSeries gather(rec_coords, nt);
+
+  physics::PropagatorOptions opts;
+  opts.tiles = core::TileSpec{8, 64, 64, 8, 8};
+  opts.health.check_every = spec.health_every;
+  if constexpr (std::is_same_v<Model, physics::AcousticModel>) {
+    if (rung.jit) {
+      // The JIT rung runs the generated code: the acoustic equation,
+      // lowered by the DSL propagator (whose statics gate runs first),
+      // compiled to a per-block kernel the engine drives under the rung's
+      // schedule. A broken toolchain throws JitCompileError here —
+      // transient, so the Runner retries with backoff and, once the budget
+      // is spent, degrades the shot to the AOT rung below.
+      dsl::DslPropagator prop(dsl::acoustic_equation(), model, opts, {},
+                              "acoustic");
+      const codegen::CompiledBlock block(prop.lowered());
+      prop.attach_block(block.fn());
+      return propagate_shot(prop, spec, rung, a, base_fp, src, gather);
+    }
+  }
+  Propagator prop(model, opts);
+  return propagate_shot(prop, spec, rung, a, base_fp, src, gather);
 }
 
 std::vector<LadderRung> runner_ladder(const std::vector<SurveyRung>& rungs) {

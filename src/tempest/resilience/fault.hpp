@@ -5,7 +5,7 @@ namespace tempest::resilience::fault {
 /// Deterministic fault-injection hooks.
 ///
 /// The resilience layer's recovery paths (NaN detection, checkpoint
-/// atomicity, JIT fallback) only matter when something goes wrong — and the
+/// atomicity, JIT retry) only matter when something goes wrong — and the
 /// conditions that go wrong in production (CFL blow-up after hours, a kill
 /// -9 mid-write, a compiler OOM) cannot be provoked reliably in a unit
 /// test. These hooks let tests arm a specific fault at a specific point;

@@ -46,8 +46,8 @@ enum class FailureKind { Transient, Degrade, Permanent };
 }
 
 /// Base class for failures that are expected to clear on retry. Derives
-/// from PreconditionError so the existing catch sites (the JIT's
-/// interpreter fallback, the checkpoint save paths) keep working: a
+/// from PreconditionError so the existing catch sites (the checkpoint
+/// save paths) keep working: a
 /// transient failure *is* still a failed precondition, it just carries the
 /// extra promise that retrying is rational.
 class TransientError : public PreconditionError {

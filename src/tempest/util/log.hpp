@@ -6,7 +6,7 @@
 namespace tempest::util {
 
 /// Minimal diagnostics channel for recoverable conditions: the resilience
-/// paths (JIT fallback, skipped autotune trials, ignored stale checkpoints)
+/// paths (JIT retries, skipped autotune trials, ignored stale checkpoints)
 /// must tell the operator what degraded without aborting the run. Writes to
 /// stderr so stdout stays clean for the benches' CSV output.
 inline void warn(std::string_view msg) {

@@ -1,16 +1,17 @@
 #include <gtest/gtest.h>
 
 #include "tempest/codegen/jit.hpp"
+#include "tempest/dsl/kernel.hpp"
 #include "tempest/physics/acoustic.hpp"
 #include "tempest/sparse/survey.hpp"
 #include "tempest/sparse/wavelet.hpp"
 
 namespace cg = tempest::codegen;
+namespace dsl = tempest::dsl;
 namespace ph = tempest::physics;
 namespace sp = tempest::sparse;
 namespace tg = tempest::grid;
 namespace tc = tempest::core;
-using tempest::real_t;
 
 namespace {
 
@@ -30,35 +31,56 @@ Setup make_setup(int so, int nt) {
   return s;
 }
 
+std::size_t count(const std::string& s, const std::string& what) {
+  std::size_t n = 0;
+  for (auto p = s.find(what); p != std::string::npos;
+       p = s.find(what, p + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+/// The acoustic equation through the DSL propagator with its lowering
+/// compiled and attached: the generated C under the engine's schedules.
+struct CompiledAcoustic {
+  dsl::DslPropagator prop;
+  cg::CompiledBlock block;
+
+  CompiledAcoustic(const ph::AcousticModel& model,
+                   const ph::PropagatorOptions& opts)
+      : prop(dsl::acoustic_equation(), model, opts, {}, "acoustic"),
+        block(prop.lowered()) {
+    prop.attach_block(block.fn());
+  }
+};
+
 }  // namespace
 
 TEST(Emit, SourceContainsExpectedStructure) {
+  const dsl::LoweredKernel lowered =
+      dsl::lower_kernel(dsl::acoustic_equation(), 4, 10.0, 1.0, "acoustic");
   cg::KernelSpec spec;
   spec.space_order = 4;
-  spec.wavefront = true;
-  spec.tiles = tc::TileSpec{4, 16, 16, 8, 8};
-  const std::string code = cg::emit_acoustic_c(spec);
-  // Weights appear as literals (O(2,4) centre weight is 3*-2.5 = -7.5).
-  EXPECT_NE(code.find("-7.5"), std::string::npos);
-  // The Listing 5 CSR injection walk and the Listing 6 tile loops.
-  EXPECT_NE(code.find("cs_offsets[col]"), std::string::npos);
-  EXPECT_NE(code.find("for (int tt = t_begin"), std::string::npos);
-  EXPECT_NE(code.find("slope * tstep"), std::string::npos);
-  EXPECT_NE(code.find(spec.symbol()), std::string::npos);
-
-  cg::KernelSpec base = spec;
-  base.wavefront = false;
-  const std::string base_code = cg::emit_acoustic_c(base);
-  EXPECT_EQ(base_code.find("for (int tt ="), std::string::npos);
-  EXPECT_NE(base_code.find("tempest_acoustic_spaceblocked_so4"),
-            std::string::npos);
+  const std::string code = cg::emit_dsl_c(lowered, spec);
+  // FD weights appear as float literals (O(2,4): w0 = -2.5, w1 = 4/3).
+  EXPECT_NE(code.find("-2.500000000e+00f"), std::string::npos);
+  EXPECT_NE(code.find("1.333333373e+00f"), std::string::npos);
+  // Exactly one function, exported under the spec's symbol.
+  EXPECT_NE(code.find("void " + spec.symbol() + "("), std::string::npos);
+  EXPECT_EQ(count(code, "void "), 1u);
+  EXPECT_EQ(code.find("static "), std::string::npos);
+  // No schedule, no injection: the engine owns both.
+  EXPECT_EQ(code.find("for (int tt"), std::string::npos);
+  EXPECT_EQ(code.find("inject_block"), std::string::npos);
+  EXPECT_EQ(code.find("cs_offsets"), std::string::npos);
+  EXPECT_EQ(code.find("MIN("), std::string::npos);
 }
 
 TEST(Emit, SymbolNamesEncodeSpec) {
   cg::KernelSpec spec;
   spec.space_order = 8;
-  spec.wavefront = true;
-  EXPECT_EQ(spec.symbol(), "tempest_acoustic_wavefront_so8");
+  spec.wavefront = true;  // no schedule in the symbol: the engine picks it
+  EXPECT_EQ(spec.symbol(), "tempest_acoustic_so8");
 }
 
 TEST(Jit, RejectsInvalidSource) {
@@ -83,20 +105,14 @@ TEST(Jit, GeneratedSpaceBlockedMatchesAotPropagator) {
   auto s = make_setup(4, 16);
 
   ph::AcousticPropagator aot(s.model);
-  aot.run(ph::Schedule::Wavefront, s.src, nullptr);  // dcmp-based injection
-  const auto u_aot = aot.wavefield(s.nt);
+  aot.run(ph::Schedule::SpaceBlocked, s.src, nullptr);
 
-  cg::KernelSpec spec;
-  spec.space_order = 4;
-  spec.wavefront = false;
-  cg::JitAcoustic jit(s.model, spec);
-  jit.run(s.src);
+  CompiledAcoustic jit(s.model, {});
+  jit.prop.run(ph::Schedule::SpaceBlocked, s.src);
 
-  const double umax = tg::max_abs(u_aot);
-  ASSERT_GT(umax, 0.0);
-  // Same arithmetic compiled by the same compiler backend; tolerance
-  // guards against benign reassociation differences between TUs.
-  EXPECT_LT(tg::max_abs_diff(u_aot, jit.wavefield(s.nt)), 1e-5 * umax);
+  ASSERT_GT(tg::max_abs(aot.wavefield(s.nt)), 0.0);
+  EXPECT_EQ(tg::max_abs_diff(aot.wavefield(s.nt), jit.prop.wavefield(s.nt)),
+            0.0);
 }
 
 class JitOrderSweep : public ::testing::TestWithParam<int> {};
@@ -109,18 +125,13 @@ TEST_P(JitOrderSweep, GeneratedWavefrontMatchesAotAcrossOrders) {
   opts.tiles = tc::TileSpec{4, 8, 8, 4, 4};
   ph::AcousticPropagator aot(s.model, opts);
   aot.run(ph::Schedule::Wavefront, s.src, nullptr);
-  const auto u_aot = aot.wavefield(s.nt);
 
-  cg::KernelSpec spec;
-  spec.space_order = so;
-  spec.wavefront = true;
-  spec.tiles = tc::TileSpec{4, 8, 8, 4, 4};
-  cg::JitAcoustic jit(s.model, spec);
-  jit.run(s.src);
+  CompiledAcoustic jit(s.model, opts);
+  jit.prop.run(ph::Schedule::Wavefront, s.src);
 
-  const double umax = tg::max_abs(u_aot);
-  ASSERT_GT(umax, 0.0) << "so=" << so;
-  EXPECT_LT(tg::max_abs_diff(u_aot, jit.wavefield(s.nt)), 1e-5 * umax)
+  ASSERT_GT(tg::max_abs(aot.wavefield(s.nt)), 0.0) << "so=" << so;
+  EXPECT_EQ(tg::max_abs_diff(aot.wavefield(s.nt), jit.prop.wavefield(s.nt)),
+            0.0)
       << "so=" << so;
 }
 
@@ -128,28 +139,21 @@ INSTANTIATE_TEST_SUITE_P(Orders, JitOrderSweep, ::testing::Values(2, 4, 8));
 
 TEST(Jit, WavefrontAndSpaceBlockedJitAgree) {
   auto s = make_setup(4, 12);
-  cg::KernelSpec wf;
-  wf.space_order = 4;
-  wf.wavefront = true;
-  wf.tiles = tc::TileSpec{3, 8, 8, 4, 4};
-  cg::JitAcoustic jit_wf(s.model, wf);
-  jit_wf.run(s.src);
+  ph::PropagatorOptions opts;
+  opts.tiles = tc::TileSpec{3, 8, 8, 4, 4};
+  CompiledAcoustic jit(s.model, opts);
+  jit.prop.run(ph::Schedule::Wavefront, s.src);
+  const tg::Grid3<tempest::real_t> u_wf = jit.prop.wavefield(s.nt);
+  jit.prop.run(ph::Schedule::SpaceBlocked, s.src);
 
-  cg::KernelSpec sb = wf;
-  sb.wavefront = false;
-  cg::JitAcoustic jit_sb(s.model, sb);
-  jit_sb.run(s.src);
-
-  // Both generated kernels execute identical per-point arithmetic.
-  EXPECT_EQ(tg::max_abs_diff(jit_wf.wavefield(s.nt), jit_sb.wavefield(s.nt)),
-            0.0);
+  // One compiled block, two engine schedules: identical per-point
+  // arithmetic.
+  EXPECT_EQ(tg::max_abs_diff(u_wf, jit.prop.wavefield(s.nt)), 0.0);
 }
 
 TEST(Jit, SourceCodeAccessorExposesGeneratedText) {
   auto s = make_setup(4, 8);
-  cg::KernelSpec spec;
-  spec.space_order = 4;
-  cg::JitAcoustic jit(s.model, spec);
-  EXPECT_NE(jit.source_code().find("Generated by tempest::codegen"),
+  CompiledAcoustic jit(s.model, {});
+  EXPECT_NE(jit.block.source_code().find("Generated by tempest::codegen"),
             std::string::npos);
 }

@@ -1,8 +1,8 @@
 // End-to-end proof of the typed-IR frontend: equations authored in the DSL,
-// lowered by dsl::lower_kernel and executed by DslKernel / JitDsl, are
+// lowered by dsl::lower_kernel and executed by DslKernel, are
 // *bit-identical* to the hand-written acoustic kernel — fields, receiver
 // gathers and work counters — under every schedule and thread count, via
-// both the interpreter (tape) and JIT (generated C) paths. Plus the
+// both the tape and the attached compiled block (generated C). Plus the
 // sponge-boundary scenario: an absorbing-boundary variant authored purely
 // as a DSL program against physics::make_sponge_profile, never touching
 // the hand-written physics translation units.
@@ -49,14 +49,6 @@ Setup make_setup(tg::Extents3 e, int so, int nt) {
   return s;
 }
 
-dsl::Eq acoustic_eq() {
-  dsl::Grid g;
-  dsl::TimeFunction u("u", g, 4, 2);
-  return dsl::solve(dsl::param("m") * u.dt2() + dsl::param("damp") * u.dt() -
-                        u.laplace(),
-                    u.forward());
-}
-
 dsl::Eq sponge_eq() {
   dsl::Grid g;
   dsl::TimeFunction u("u", g, 4, 2);
@@ -86,10 +78,15 @@ const SchedCase kSchedules[] = {
 // The acceptance bar of the frontend refactor: for every schedule and both
 // thread counts, the DSL-authored acoustic equation produces the same bits
 // as physics::AcousticPropagator — wavefield, receiver gathers, and the
-// point-update work counter.
+// point-update work counter — whether the engine runs its blocks through
+// the tape or through the compiled block of the same lowering.
 TEST(DslFrontend, AcousticBitIdenticalAcrossSchedulesAndThreads) {
   auto s = make_setup({20, 18, 16}, 4, 24);
-  const dsl::Eq eq = acoustic_eq();
+  const dsl::Eq eq = dsl::acoustic_equation();
+  // Every propagator below lowers to the same tree (same model, same dt),
+  // so one compiled block serves them all.
+  const dsl::DslPropagator probe(eq, s.model);
+  const cg::CompiledBlock block(probe.lowered());
   for (const auto& sc : kSchedules) {
     for (int threads : {1, 8}) {
       SCOPED_TRACE(std::string(sc.name) + " threads=" +
@@ -103,32 +100,122 @@ TEST(DslFrontend, AcousticBitIdenticalAcrossSchedulesAndThreads) {
       auto rec_hand = s.rec;
       const ph::RunStats st_hand = hand.run(sc.sched, s.src, &rec_hand);
 
-      dsl::DslPropagator dslprop(eq, s.model, opts);
-      auto rec_dsl = s.rec;
-      const ph::RunStats st_dsl = dslprop.run(sc.sched, s.src, &rec_dsl);
+      for (const bool compiled : {false, true}) {
+        SCOPED_TRACE(compiled ? "DSL acoustic + compiled block"
+                              : "DSL acoustic + tape");
+        dsl::DslPropagator dslprop(eq, s.model, opts);
+        if (compiled) dslprop.attach_block(block.fn());
+        auto rec_dsl = s.rec;
+        const ph::RunStats st_dsl = dslprop.run(sc.sched, s.src, &rec_dsl);
 
-      EXPECT_EQ(tg::max_abs_diff(hand.wavefield(s.nt), dslprop.wavefield(s.nt)),
-                0.0);
-      for (int t = 0; t < s.nt; ++t) {
-        for (int r = 0; r < rec_hand.npoints(); ++r) {
-          ASSERT_EQ(rec_hand.at(t, r), rec_dsl.at(t, r))
-              << "t=" << t << " r=" << r;
+        EXPECT_EQ(
+            tg::max_abs_diff(hand.wavefield(s.nt), dslprop.wavefield(s.nt)),
+            0.0);
+        for (int t = 0; t < s.nt; ++t) {
+          for (int r = 0; r < rec_hand.npoints(); ++r) {
+            ASSERT_EQ(rec_hand.at(t, r), rec_dsl.at(t, r))
+                << "t=" << t << " r=" << r;
+          }
         }
+        EXPECT_EQ(st_hand.point_updates, st_dsl.point_updates);
       }
-      EXPECT_EQ(st_hand.point_updates, st_dsl.point_updates);
     }
   }
+}
+
+// The attached block is the only update path: a stand-in that writes a
+// constant over its box leaves that constant in every interior cell of the
+// final slice — except where the fused injection added the source — under
+// every schedule and thread count. Had the engine handed any block to the
+// tape, its cells would hold the tape's acoustic update instead.
+namespace {
+
+constexpr float kMark = 0.5f;
+
+void mark_block(float* un, const float*, const float*, const float* const*,
+                long sx, long sy, int x0, int x1, int y0, int y1, int z0,
+                int z1) {
+  for (int x = x0; x < x1; ++x) {
+    for (int y = y0; y < y1; ++y) {
+      for (int z = z0; z < z1; ++z) un[x * sx + y * sy + z] = kMark;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(DslFrontend, AttachedBlockRunsEveryBlockOfEverySchedule) {
+  const tg::Extents3 e{20, 18, 16};
+  auto s = make_setup(e, 4, 12);
+  for (int t = 0; t < s.nt; ++t) s.src.at(t, 0) = 1.0f;  // inject every step
+  // Cells the trilinear injection touches: the source's enclosing cell.
+  const auto& c = s.src.coords().front();
+  const auto injected = [&](int x, int y) {
+    return std::abs(x - c.x) < 1.0 && std::abs(y - c.y) < 1.0;
+  };
+  for (const auto& sc : kSchedules) {
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(std::string(sc.name) + " threads=" +
+                   std::to_string(threads));
+      ph::PropagatorOptions opts;
+      opts.tiles = tc::TileSpec{sc.tile_t, 8, 8, 4, 4};
+      opts.threads = threads;
+      dsl::DslPropagator prop(dsl::acoustic_equation(), s.model, opts);
+      prop.attach_block(&mark_block);
+      prop.run(sc.sched, s.src);
+      const auto& u = prop.wavefield(s.nt);
+      int marked = 0, exempt = 0;
+      for (int x = 0; x < e.nx; ++x) {
+        for (int y = 0; y < e.ny; ++y) {
+          for (int z = 0; z < e.nz; ++z) {
+            if (injected(x, y)) {
+              ++exempt;
+              continue;
+            }
+            ASSERT_EQ(u(x, y, z), kMark) << "(" << x << "," << y << "," << z
+                                         << ")";
+            ++marked;
+          }
+        }
+      }
+      EXPECT_EQ(marked + exempt, e.nx * e.ny * e.nz);
+      EXPECT_EQ(exempt, 4 * e.nz);
+    }
+  }
+}
+
+// Resume under the temporally blocked schedule with the compiled block:
+// run head + capture + restore + run_from tail equals the AOT kernel's
+// uninterrupted run, bitwise.
+TEST(DslFrontend, CompiledBlockWavefrontResumeBitExact) {
+  auto s = make_setup({16, 14, 12}, 4, 20);
+  ph::PropagatorOptions opts;
+  opts.tiles = tc::TileSpec{4, 8, 8, 4, 4};
+  ph::AcousticPropagator hand(s.model, opts);
+  hand.run(ph::Schedule::Wavefront, s.src);
+
+  const int t_cut = 10;
+  sp::SparseTimeSeries head(s.src.coords(), t_cut);
+  for (int t = 0; t < t_cut; ++t) head.at(t, 0) = s.src.at(t, 0);
+  dsl::DslPropagator partial(dsl::acoustic_equation(), s.model, opts);
+  const cg::CompiledBlock block(partial.lowered());
+  partial.attach_block(block.fn());
+  partial.run(ph::Schedule::Wavefront, head);
+  const auto ck = partial.capture(t_cut, 0x5eedu);
+
+  dsl::DslPropagator resumed(dsl::acoustic_equation(), s.model, opts);
+  resumed.attach_block(block.fn());
+  resumed.restore(ck);
+  resumed.run_from(t_cut, ph::Schedule::Wavefront, s.src);
+  EXPECT_EQ(tg::max_abs_diff(hand.wavefield(s.nt), resumed.wavefield(s.nt)),
+            0.0);
 }
 
 // Same bar at a different space order: the lowering's FD weights must
 // reproduce the hand-written kernel's folded real_t weights at any order.
 TEST(DslFrontend, AcousticBitIdenticalAtSpaceOrder8) {
   auto s = make_setup({16, 14, 18}, 8, 18);
-  dsl::Grid g;
-  dsl::TimeFunction u("u", g, 8, 2);
-  const dsl::Eq eq = dsl::solve(dsl::param("m") * u.dt2() +
-                                    dsl::param("damp") * u.dt() - u.laplace(),
-                                u.forward());
+  const dsl::Eq eq = dsl::acoustic_equation();
   ph::PropagatorOptions opts;
   opts.tiles = tc::TileSpec{3, 8, 8, 4, 4};
   opts.verify_schedule = true;
@@ -141,28 +228,30 @@ TEST(DslFrontend, AcousticBitIdenticalAtSpaceOrder8) {
             0.0);
 }
 
-// The JIT path: emit_dsl_c + JitDsl produce the same bits as the
-// hand-maintained acoustic emitter, on both generated schedules.
+// The JIT path: a named DslPropagator's lowering, emitted by emit_dsl_c and
+// compiled into a block whose exported symbol carries that name, produces
+// the same bits as the hand-written acoustic kernel on both temporally
+// unblocked and blocked schedules.
 TEST(DslFrontend, JitDslBitIdenticalToJitAcoustic) {
   auto s = make_setup({20, 18, 16}, 4, 24);
-  const dsl::Eq eq = acoustic_eq();
-  cg::KernelSpec base;
-  base.space_order = 4;
-  base.tiles = tc::TileSpec{4, 8, 8, 4, 4};
-
-  cg::JitAcoustic aot(s.model, base);
-  aot.run(s.src);
-
-  for (bool wavefront : {false, true}) {
+  const dsl::Eq eq = dsl::acoustic_equation();
+  for (const bool wavefront : {false, true}) {
     SCOPED_TRACE(wavefront ? "wavefront" : "space-blocked");
-    cg::KernelSpec spec = base;
-    spec.wavefront = wavefront;
-    spec.kernel = "dslacoustic";
-    cg::JitDsl jit(eq, s.model, spec);
-    ASSERT_FALSE(jit.used_interpreter_fallback());
+    const ph::Schedule sched =
+        wavefront ? ph::Schedule::Wavefront : ph::Schedule::SpaceBlocked;
+    ph::PropagatorOptions opts;
+    opts.tiles = tc::TileSpec{4, 8, 8, 4, 4};
+
+    ph::AcousticPropagator aot(s.model, opts);
+    aot.run(sched, s.src);
+
+    dsl::DslPropagator jit(eq, s.model, opts, {}, "dslacoustic");
     EXPECT_EQ(jit.lowered().name, "dslacoustic");
-    EXPECT_NE(jit.source_code().find(spec.symbol()), std::string::npos);
-    jit.run(s.src);
+    const cg::CompiledBlock block(jit.lowered());
+    EXPECT_NE(block.source_code().find("tempest_dslacoustic_so4"),
+              std::string::npos);
+    jit.attach_block(block.fn());
+    jit.run(sched, s.src);
     EXPECT_EQ(tg::max_abs_diff(aot.wavefield(s.nt), jit.wavefield(s.nt)),
               0.0);
   }
@@ -177,7 +266,7 @@ TEST(DslFrontend, TypedInterpreterMatchesKernelTapeBitExact) {
   ph::AcousticModel model = ph::make_acoustic_layered(g, 1.5, 3.0, 2);
   const double dt = model.critical_dt();
   const dsl::LoweredKernel lowered =
-      dsl::lower_kernel(acoustic_eq(), 4, g.spacing, dt);
+      dsl::lower_kernel(dsl::acoustic_equation(), 4, g.spacing, dt);
 
   // Deterministic non-trivial field data.
   tg::TimeBuffer<real_t> u(3, e, g.radius(), real_t{0});
@@ -195,7 +284,7 @@ TEST(DslFrontend, TypedInterpreterMatchesKernelTapeBitExact) {
   dsl::DslKernel kernel(lowered, model, {}, u, dt);
   kernel.apply(1, tg::Box3::whole(e));
 
-  const dsl::TypedInterpreter interp(lowered, model, dt);
+  const dsl::TypedInterpreter interp(lowered, model);
   for (int x = 0; x < e.nx; ++x) {
     for (int y = 0; y < e.ny; ++y) {
       for (int z = 0; z < e.nz; ++z) {
@@ -322,7 +411,7 @@ TEST(DslFrontend, LoweringRejectsUnsupportedShapes) {
 // like the hand-written one (engine capture/restore is kernel-agnostic).
 TEST(DslFrontend, CheckpointRestoreBitExact) {
   auto s = make_setup({16, 14, 12}, 4, 20);
-  const dsl::Eq eq = acoustic_eq();
+  const dsl::Eq eq = dsl::acoustic_equation();
   ph::PropagatorOptions opts;
   opts.tiles = tc::TileSpec{1, 8, 8, 4, 4};
 

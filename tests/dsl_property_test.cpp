@@ -147,7 +147,7 @@ TEST_P(DslFootprintProperty, StructuralAccessesMatchObservedLoads) {
     ph::Geometry geom{e, 10.0, r.space_order, 0};
     const ph::AcousticModel model = ph::make_acoustic_homogeneous(geom, 1.5);
     tg::TimeBuffer<real_t> u(3, e, geom.radius(), real_t{1});
-    const dsl::TypedInterpreter interp(lowered, model, 0.5);
+    const dsl::TypedInterpreter interp(lowered, model);
     std::set<Offset> observed;
     const int c = lowered.radius() + 1;
     (void)interp.eval_at(u, 1, c, c, c,

@@ -501,36 +501,6 @@ TEST_F(FaultInjection, JitRetryBudgetComesFromEnvironment) {
   ::unsetenv("TEMPEST_JIT_RETRIES");
 }
 
-TEST_F(FaultInjection, PersistentCompilerFailureFallsBackToInterpreter) {
-  const tg::Extents3 e{10, 9, 8};
-  ph::Geometry g{e, 10.0, 4, 2};
-  const auto model = ph::make_acoustic_layered(g, 1.5, 3.0, 2);
-  const int nt = 8;
-  sp::SparseTimeSeries src(sp::single_center_source(e, 0.4), nt);
-  src.broadcast_signature(sp::ricker(nt, model.critical_dt(), 0.03));
-
-  cg::KernelSpec spec;
-  spec.space_order = 4;
-  spec.wavefront = false;
-  // Both the first attempt and its retry fail: a persistently broken
-  // toolchain.
-  rs::fault::plan().fail_jit_compiles = 1000;
-  cg::JitAcoustic jit(model, spec);
-  rs::fault::reset();
-  ASSERT_TRUE(jit.used_interpreter_fallback());
-  jit.run(src);
-
-  ph::PropagatorOptions popts;
-  popts.dt = model.critical_dt();
-  ph::AcousticPropagator direct(model, popts);
-  direct.run(ph::Schedule::SpaceBlocked, src, nullptr);
-  const auto& u_direct = direct.wavefield(nt);
-  const double umax = tg::max_abs(u_direct);
-  ASSERT_GT(umax, 0.0);
-  // Interpreter evaluates in double, the kernel in float.
-  EXPECT_LT(tg::max_abs_diff(jit.wavefield(nt), u_direct), 5e-4 * umax);
-}
-
 // --- Autotuner: one pathological trial must not abort the sweep. ---
 
 TEST_F(FaultInjection, AutotuneSkipsFailingTrials) {

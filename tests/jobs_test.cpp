@@ -386,7 +386,7 @@ TEST(Runner, AllJobsSucceedFirstTry) {
       queue, {{"fast"}, {"slow"}}, fast_policy(3),
       [&](const jb::Attempt& a) {
         seen.push_back(a);
-        return jb::AttemptResult{0.5, false, "ok"};
+        return jb::AttemptResult{0.5, "ok"};
       },
       [](double) {});
   EXPECT_EQ(runner.run(), 3);
@@ -411,7 +411,7 @@ TEST(Runner, TransientFailuresRetryWithBackoff) {
         ++calls;
         if (calls <= 2) throw ut::TransientError("hiccup " + std::to_string(calls));
         EXPECT_EQ(a.attempt, 3);
-        return {0.5, false, "ok"};
+        return {0.5, "ok"};
       },
       [&](double ms) { sleeps.push_back(ms); });
   EXPECT_EQ(runner.run(), 1);
@@ -433,7 +433,7 @@ TEST(Runner, ExhaustedTransientsDegradeDownTheLadder) {
       [&](const jb::Attempt& a) -> jb::AttemptResult {
         levels.push_back(a.level);
         if (a.level == 0) throw ut::TransientError("never clears");
-        return {0.5, false, "ok"};
+        return {0.5, "ok"};
       },
       [](double) {});
   EXPECT_EQ(runner.run(), 1);
@@ -453,7 +453,7 @@ TEST(Runner, DegradeFailuresSkipTheRetryBudget) {
       [&](const jb::Attempt& a) -> jb::AttemptResult {
         levels.push_back(a.level);
         if (a.level < 2) throw jb::WatchdogTimeoutError("too slow");
-        return {0.5, false, "ok"};
+        return {0.5, "ok"};
       },
       [](double) {});
   EXPECT_EQ(runner.run(), 1);
@@ -470,7 +470,7 @@ TEST(Runner, LadderExhaustionQuarantines) {
       queue, {{"fast"}, {"safe"}}, fast_policy(1),
       [&](const jb::Attempt& a) -> jb::AttemptResult {
         if (a.job == 0) throw jb::WatchdogTimeoutError("always slow");
-        return {0.5, false, "ok"};
+        return {0.5, "ok"};
       },
       [](double) {});
   EXPECT_EQ(runner.run(), 1);  // job 1 still finishes

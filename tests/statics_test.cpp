@@ -15,7 +15,6 @@
 #include "tempest/analysis/statics/lint.hpp"
 #include "tempest/analysis/statics/stability.hpp"
 #include "tempest/analysis/statics/verify.hpp"
-#include "tempest/codegen/jit.hpp"
 #include "tempest/dsl/kernel.hpp"
 #include "tempest/dsl/operator.hpp"
 #include "tempest/grid/time_buffer.hpp"
@@ -29,7 +28,6 @@ namespace dsl = tempest::dsl;
 namespace ph = tempest::physics;
 namespace sp = tempest::sparse;
 namespace tg = tempest::grid;
-namespace cg = tempest::codegen;
 using statics::Interval;
 using tempest::real_t;
 
@@ -507,35 +505,6 @@ TEST(Gates, DslKernelRefusesACorruptedTree) {
     FAIL() << "out-of-halo tree was not refused";
   } catch (const statics::StaticVerificationError& e) {
     EXPECT_NE(find_code(e.report().diagnostics(), "out-of-halo-read"),
-              nullptr);
-  }
-}
-
-TEST(Gates, JitAcousticRefusesAStaticallyUnstableSpecBeforeCompiling) {
-  const ph::AcousticModel model = small_model();
-  cg::KernelSpec spec;
-  spec.dt = 5.0;  // far beyond the so=4 bound for this model
-  // Throws before any compiler invocation: a diverging spec is a caller
-  // bug, not a toolchain failure, so no interpreter fallback either.
-  EXPECT_THROW(cg::JitAcoustic(model, spec),
-               statics::StaticVerificationError);
-}
-
-TEST(Gates, JitDslRefusesACorruptedTreeBeforeCompiling) {
-  const ph::AcousticModel model = small_model();
-  dsl::LoweredKernel lk = lower_acoustic(4, 0.5);
-  lk.update = dsl::ir::bin(
-      '+', lk.update, dsl::ir::load(lk.field, 0, lk.radius() + 3, 0, 0));
-  cg::KernelSpec spec;
-  spec.kernel = lk.name;
-  spec.dt = 0.5;
-  try {
-    cg::JitDsl jit(std::move(lk), model, spec);
-    FAIL() << "out-of-halo tree was not refused at JIT compile";
-  } catch (const statics::StaticVerificationError& e) {
-    EXPECT_NE(find_code(e.report().diagnostics(), "out-of-halo-read"),
-              nullptr);
-    EXPECT_NE(find_code(e.report().diagnostics(), "footprint-mismatch"),
               nullptr);
   }
 }

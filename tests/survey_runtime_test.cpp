@@ -5,8 +5,9 @@
 // resumed in a fresh propagator must reproduce the uninterrupted gather
 // *bitwise* — the property the process-level chaos harness then proves
 // across real SIGKILLs. The survey-level tests exercise the degradation
-// ladder (an injected persistent JIT fault completes on the AOT rung,
-// reported as degraded — never failed), journal re-entry after a dead
+// ladder (the JIT rung runs its compiled block bit-identically to AOT; an
+// injected persistent JIT fault completes on the AOT rung, reported as
+// degraded — never failed), journal re-entry after a dead
 // process, and watchdog-driven quarantine when every rung is too slow.
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "tempest/jobs/chaos.hpp"
@@ -28,12 +30,14 @@
 #include "tempest/resilience/fault.hpp"
 #include "tempest/sparse/survey.hpp"
 #include "tempest/sparse/wavelet.hpp"
+#include "tempest/trace/trace.hpp"
 
 namespace jb = tempest::jobs;
 namespace ph = tempest::physics;
 namespace rs = tempest::resilience;
 namespace sp = tempest::sparse;
 namespace tg = tempest::grid;
+namespace tr = tempest::trace;
 
 namespace {
 
@@ -180,6 +184,90 @@ TEST_F(SurveyRuntime, PersistentJitFaultDegradesShotsNotSurvey) {
     EXPECT_GE(s.level, 1);  // below the JIT rung
     EXPECT_GE(s.attempts, spec.retry.max_attempts);  // transients retried
     EXPECT_TRUE(std::filesystem::exists(jb::shot_gather_path(spec, s.shot)));
+  }
+}
+
+// --- The JIT rung runs the code it compiled: with no fault, every shot
+// finishes on the +jit rung and its gather is byte-identical to the AOT
+// survey's (the compiled block is bitwise equal to the AOT kernel). ---
+
+TEST_F(SurveyRuntime, JitRungRunsTheCompiledBlock) {
+  jb::SurveySpec spec;
+  spec.n = 16;
+  spec.nt = 12;
+  spec.n_shots = 2;
+  spec.space_order = 4;
+  spec.physics = "acoustic";
+  spec.schedule = ph::Schedule::Wavefront;
+  spec.health_every = 0;
+
+  TempDir aot;
+  spec.jobs_dir = aot.path();
+  const jb::SurveyReport ref = jb::run_survey(spec);
+  ASSERT_EQ(ref.done, 2);
+
+  TempDir jit;
+  spec.jobs_dir = jit.path();
+  spec.use_jit = true;  // rung 0 = JIT wavefront
+  tr::reset();
+  tr::set_enabled(true);
+  const jb::SurveyReport report = jb::run_survey(spec);
+  const long long compiles = tr::value(tr::Counter::JitCompiles);
+  tr::set_enabled(false);
+  tr::reset();
+#if !defined(TEMPEST_TRACE_DISABLED)
+  EXPECT_GE(compiles, 1);
+#else
+  (void)compiles;
+#endif
+
+  EXPECT_EQ(report.done, 2);
+  EXPECT_EQ(report.degraded, 0);
+  for (const jb::ShotReport& s : report.shots) {
+    EXPECT_EQ(s.state, "done");
+    EXPECT_EQ(s.level, 0);
+    EXPECT_EQ(s.level_name, "wavefront+jit");
+    EXPECT_FALSE(s.degraded);
+    spec.jobs_dir = aot.path();
+    const std::string a = jb::shot_gather_path(spec, s.shot);
+    spec.jobs_dir = jit.path();
+    const std::string b = jb::shot_gather_path(spec, s.shot);
+    EXPECT_TRUE(jb::files_identical(a, b)) << "shot " << s.shot;
+  }
+
+  // The converse: a compiler wrapper that zeroes the generated update
+  // (every cell becomes 0 * update) must change every gather — had the
+  // rung compiled and then propagated with the AOT kernel, the gathers
+  // would still match.
+  TempDir sabotaged;
+  std::filesystem::create_directories(sabotaged.path());
+  const char* real_cc = std::getenv("CC");
+  const std::string cc_wrapper = sabotaged.path() + "/cc.sh";
+  {
+    std::ofstream sh(cc_wrapper);
+    sh << "#!/bin/sh\nfor a; do src=$a; done\n"
+       << "sed -i 's/unr\\[z\\] = /unr[z] = 0.0f * /' \"$src\"\n"
+       << "exec " << (real_cc != nullptr && *real_cc != '\0' ? real_cc : "cc")
+       << " \"$@\"\n";
+  }
+  std::filesystem::permissions(cc_wrapper,
+                               std::filesystem::perms::owner_all);
+  const std::string saved_cc = real_cc != nullptr ? real_cc : "";
+  ::setenv("CC", cc_wrapper.c_str(), 1);
+  spec.jobs_dir = sabotaged.path();
+  const jb::SurveyReport broken = jb::run_survey(spec);
+  if (saved_cc.empty()) {
+    ::unsetenv("CC");
+  } else {
+    ::setenv("CC", saved_cc.c_str(), 1);
+  }
+  EXPECT_EQ(broken.done, 2);
+  for (int k = 0; k < spec.n_shots; ++k) {
+    spec.jobs_dir = aot.path();
+    const std::string a = jb::shot_gather_path(spec, k);
+    spec.jobs_dir = sabotaged.path();
+    const std::string b = jb::shot_gather_path(spec, k);
+    EXPECT_FALSE(jb::files_identical(a, b)) << "shot " << k;
   }
 }
 
