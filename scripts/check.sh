@@ -29,9 +29,8 @@
 #   --ubsan      full suite under the standalone UBSan preset
 #                (-fsanitize=undefined,float-cast-overflow, no recovery)
 #   --tsan       the `parallel`-labelled tests under the ThreadSanitizer
-#                preset: no OpenMP runtime (libgomp is opaque to TSan),
-#                task graphs run on the std::thread pool backend with the
-#                same dependence edges, oversubscribed via
+#                preset (the default build plus -fsanitize=thread, same
+#                worker-team runtime), oversubscribed via
 #                TEMPEST_THREADS=8 so races surface on any host
 #   --analyze    build the schedule-legality verifier and the statics
 #                sweep (tools/ir_lint) and run both as blocking gates:
@@ -238,8 +237,8 @@ fi
 
 if [ "${1:-}" = "--tsan" ]; then
   # halt_on_error: a single report must fail the run, not scroll past.
-  # TEMPEST_THREADS=8 oversubscribes the pool so cross-thread interleavings
-  # exist even on single-core runners.
+  # TEMPEST_THREADS=8 oversubscribes the worker team so cross-thread
+  # interleavings exist even on single-core runners.
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" TEMPEST_THREADS=8 \
     run_preset tsan -L parallel
   echo "==> tsan parallel-schedule checks passed"

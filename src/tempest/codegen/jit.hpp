@@ -36,7 +36,7 @@ class JitModule {
   /// Compile `c_source` and resolve `symbol_name`. Throws PreconditionError
   /// with the compiler diagnostics on failure. `extra_flags` is appended to
   /// the compile line (default: optimise + vectorise; -fopenmp-simd honours
-  /// the generated `omp simd simdlen` pragmas without pulling in the
+  /// the generated `omp simd simdlen` pragmas without pulling in an
   /// OpenMP runtime, so JIT-compiled kernels stay single-threaded objects
   /// the task-parallel engine can schedule; -ffp-contract=off mirrors the
   /// engine build — the JIT'd C evaluates the same expression trees as the

@@ -77,8 +77,8 @@ BandPlan BandPlan::wavefront(const grid::Extents3& e, int s_begin, int s_end,
                {ys - slope * t, ys + spec.tile_y - slope * t});
         }
         band.tasks.push_back(std::move(task));
-        // The staircase generating set: at most two predecessors per task,
-        // what fixed-arity OpenMP depend clauses can express.
+        // The staircase generating set: the transitive reduction of the
+        // tile dependences, at most two predecessors per task.
         const int node = ix * nj + iy;
         if (ix > 0) band.dag.add_edge(node - nj, node);
         if (iy > 0) band.dag.add_edge(node - 1, node);

@@ -109,8 +109,13 @@ class DslKernel {
   /// The tape walk over one block. Out of line so the compiled-block
   /// dispatch in apply() leaves the tape loop's code generation alone:
   /// fused into apply(), the tape ran the dsl-sponge benchmark 9-25%
-  /// slower (GCC 12, 4-vCPU Xeon).
-  [[gnu::noinline]] void apply_tape(int t, const grid::Box3& b);
+  /// slower (GCC 12, 4-vCPU Xeon). Cache-line aligned so its speed does not
+  /// depend on where unrelated code lands in the binary: with identical
+  /// object code, a 16-byte shift of its start address (from edits
+  /// elsewhere in the library) made the serial sponge run ~20% slower on a
+  /// 4-vCPU Xeon (model 207, GCC 12).
+  [[gnu::noinline, gnu::aligned(64)]] void apply_tape(int t,
+                                                      const grid::Box3& b);
 
   const LoweredKernel& lowered_;
   const physics::AcousticModel& model_;

@@ -7,14 +7,11 @@
 #include <thread>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "tempest/util/align.hpp"
 #include "tempest/util/error.hpp"
 #include "tempest/util/json.hpp"
 #include "tempest/util/log.hpp"
+#include "tempest/util/threads.hpp"
 #include "tempest/util/timer.hpp"
 
 namespace tempest::perf {
@@ -30,12 +27,20 @@ double triad_bandwidth_gbps(std::size_t bytes, int repetitions) {
   const std::size_t batch = std::max<std::size_t>(
       1, (64ull * 1024 * 1024) / std::max<std::size_t>(bytes, 1));
 
+  // One contiguous slice of the arrays per worker.
+  const int threads = util::resolve_threads();
   auto pass = [&] {
-    float* __restrict pa = a.data();
-    const float* __restrict pb = b.data();
-    const float* __restrict pc = c.data();
-#pragma omp parallel for simd schedule(static)
-    for (std::size_t i = 0; i < n; ++i) pa[i] = pb[i] + s * pc[i];
+    util::parallel_for(threads, threads, [&](int w) {
+      const std::size_t lo = n * static_cast<std::size_t>(w) /
+                             static_cast<std::size_t>(threads);
+      const std::size_t hi = n * static_cast<std::size_t>(w + 1) /
+                             static_cast<std::size_t>(threads);
+      float* __restrict pa = a.data();
+      const float* __restrict pb = b.data();
+      const float* __restrict pc = c.data();
+#pragma omp simd
+      for (std::size_t i = lo; i < hi; ++i) pa[i] = pb[i] + s * pc[i];
+    });
   };
 
   pass();  // warm up (faults pages, loads caches)
@@ -58,35 +63,36 @@ double fma_peak_gflops(int repetitions) {
   // every lane's dependency chain short.
   constexpr int kLanes = 64;
   constexpr int kIters = 200000;
-  alignas(64) float acc[kLanes];
   alignas(64) float mul[kLanes];
   alignas(64) float add[kLanes];
   for (int i = 0; i < kLanes; ++i) {
-    acc[i] = 0.5f + 1e-6f * static_cast<float>(i);
     mul[i] = 0.999999f;
     add[i] = 1e-7f * static_cast<float>(i + 1);
   }
 
-  int threads = 1;
-#ifdef _OPENMP
-  threads = omp_get_max_threads();
-#endif
-
+  const int threads = util::resolve_threads();
+  // Per-worker partial sums, folded into the sink after the join, keep the
+  // accumulators live without any thread writing shared state.
+  std::vector<float> partial(static_cast<std::size_t>(threads));
   double best = 0.0;
   volatile float sink = 0.0f;
   for (int rep = 0; rep < repetitions; ++rep) {
     util::Timer t;
-#pragma omp parallel firstprivate(acc)
-    {
+    util::parallel_for(threads, threads, [&](int w) {
+      alignas(64) float acc[kLanes];
+      for (int i = 0; i < kLanes; ++i) {
+        acc[i] = 0.5f + 1e-6f * static_cast<float>(i);
+      }
       for (int it = 0; it < kIters; ++it) {
 #pragma omp simd aligned(acc, mul, add : 64)
         for (int i = 0; i < kLanes; ++i) acc[i] = acc[i] * mul[i] + add[i];
       }
       float local = 0.0f;
       for (int i = 0; i < kLanes; ++i) local += acc[i];
-      sink = sink + local;
-    }
+      partial[static_cast<std::size_t>(w)] = local;
+    });
     const double secs = t.seconds();
+    for (const float p : partial) sink = sink + p;
     const double flops =
         2.0 * kLanes * static_cast<double>(kIters) * threads;
     best = std::max(best, flops / secs / 1e9);
@@ -156,13 +162,9 @@ bool scan_string(const std::string& text, const std::string& key,
 }  // namespace
 
 std::string host_fingerprint() {
-  int omp_threads = 1;
-#ifdef _OPENMP
-  omp_threads = omp_get_max_threads();
-#endif
   std::ostringstream os;
   os << cpu_model() << " | cpus=" << std::thread::hardware_concurrency()
-     << " | omp=" << omp_threads;
+     << " | threads=" << util::resolve_threads();
   return os.str();
 }
 

@@ -29,7 +29,7 @@ struct MachineCeilings {
 [[nodiscard]] double fma_peak_gflops(int repetitions);
 
 /// Stable identifier of the machine the ceilings were measured on: CPU
-/// model string, logical CPU count, and the OpenMP thread budget (thread
+/// model string, logical CPU count, and the resolved worker count (thread
 /// count changes the triad/FMA ceilings, so it keys the cache too).
 [[nodiscard]] std::string host_fingerprint();
 

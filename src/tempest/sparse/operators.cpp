@@ -1,7 +1,6 @@
 #include "tempest/sparse/operators.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_map>
 
 namespace tempest::sparse {
@@ -10,12 +9,12 @@ void interpolate(const grid::Grid3<real_t>& u, SparseTimeSeries& rec, int t,
                  InterpKind kind) {
   long long applications = 0;
   for (int r = 0; r < rec.npoints(); ++r) {
-    double acc = 0.0;
+    real_t acc = 0;
     for (const SupportPoint& p : support(rec.coord(r), kind, u.extents())) {
-      acc += p.w * static_cast<double>(u(p.x, p.y, p.z));
+      acc += static_cast<real_t>(p.w) * u(p.x, p.y, p.z);
       ++applications;
     }
-    rec.at(t, r) = static_cast<real_t>(acc);
+    rec.at(t, r) = acc;
   }
   TEMPEST_TRACE_COUNT(ReceiversInterpolated, applications);
 }
@@ -26,21 +25,6 @@ SupportCache::SupportCache(const SparseTimeSeries& series, InterpKind kind,
   for (int p = 0; p < series.npoints(); ++p) {
     per_point.push_back(support(series.coord(p), kind, extents));
   }
-}
-
-void interpolate_cached(const grid::Grid3<real_t>& u, SparseTimeSeries& rec,
-                        int t, const SupportCache& cache) {
-  long long applications = 0;
-  for (int r = 0; r < rec.npoints(); ++r) {
-    double acc = 0.0;
-    for (const SupportPoint& p :
-         cache.per_point[static_cast<std::size_t>(r)]) {
-      acc += p.w * static_cast<double>(u(p.x, p.y, p.z));
-      ++applications;
-    }
-    rec.at(t, r) = static_cast<real_t>(acc);
-  }
-  TEMPEST_TRACE_COUNT(ReceiversInterpolated, applications);
 }
 
 ColorSets::ColorSets(const SupportCache& cache, const grid::Extents3& extents) {
@@ -75,21 +59,19 @@ ColorSets::ColorSets(const SupportCache& cache, const grid::Extents3& extents) {
 
 void interpolate_cached(const grid::Grid3<real_t>& u, SparseTimeSeries& rec,
                         int t, const SupportCache& cache, int threads) {
-  const int n = rec.npoints();
-  std::atomic<long long> applications{0};
-  util::parallel_for(n, threads, [&](int r) {
-    double acc = 0.0;
-    long long local = 0;
+  util::parallel_for(rec.npoints(), threads, [&](int r) {
+    real_t acc = 0;
     for (const SupportPoint& p :
          cache.per_point[static_cast<std::size_t>(r)]) {
-      acc += p.w * static_cast<double>(u(p.x, p.y, p.z));
-      ++local;
+      acc += static_cast<real_t>(p.w) * u(p.x, p.y, p.z);
     }
-    rec.at(t, r) = static_cast<real_t>(acc);
-    applications.fetch_add(local, std::memory_order_relaxed);
+    rec.at(t, r) = acc;
   });
-  TEMPEST_TRACE_COUNT(ReceiversInterpolated,
-                      applications.load(std::memory_order_relaxed));
+  long long applications = 0;
+  for (const auto& pts : cache.per_point) {
+    applications += static_cast<long long>(pts.size());
+  }
+  TEMPEST_TRACE_COUNT(ReceiversInterpolated, applications);
 }
 
 }  // namespace tempest::sparse

@@ -35,7 +35,10 @@ void inject(grid::Grid3<real_t>& u, const SparseTimeSeries& src, int t,
 }
 
 /// Gather field values at timestep `t` into the receiver series:
-///   rec[t][r] = sum_p w_p * u(p).
+///   rec[t][r] = sum_p w_p * u(p),
+/// accumulated in real_t from zero over the support in ascending (x, y, z)
+/// order — the order of the affected-point ids the fused gather
+/// (core::reduce_receiver_stage) folds in, so both paths are bitwise equal.
 void interpolate(const grid::Grid3<real_t>& u, SparseTimeSeries& rec, int t,
                  InterpKind kind);
 
@@ -67,10 +70,6 @@ void inject_cached(grid::Grid3<real_t>& u, const SparseTimeSeries& src, int t,
   }
   TEMPEST_TRACE_COUNT(SourcesInjected, updates);
 }
-
-/// interpolate() through a prebuilt cache.
-void interpolate_cached(const grid::Grid3<real_t>& u, SparseTimeSeries& rec,
-                        int t, const SupportCache& cache);
 
 /// Conflict-free color sets over a series' injection sites. Two sites
 /// conflict when their interpolation supports share a grid point — the
@@ -117,10 +116,11 @@ void inject_colored(grid::Grid3<real_t>& u, const SparseTimeSeries& src, int t,
   }
 }
 
-/// interpolate_cached() with the receiver loop parallelized. Receivers are
-/// embarrassingly parallel (each writes only its own trace sample) and the
-/// per-receiver accumulation order is unchanged, so this too is bitwise
-/// equal to the serial operator at any thread count.
+/// interpolate() through a prebuilt cache, with the receiver loop spread
+/// over `threads` workers. Receivers are embarrassingly parallel (each
+/// writes only its own trace sample) and the per-receiver accumulation
+/// order is unchanged, so this is bitwise equal to interpolate() at any
+/// thread count.
 void interpolate_cached(const grid::Grid3<real_t>& u, SparseTimeSeries& rec,
                         int t, const SupportCache& cache, int threads);
 

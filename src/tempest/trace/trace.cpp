@@ -10,6 +10,10 @@
 #include <ostream>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
 #define TEMPEST_TRACE_HAVE_SIGNALS 1
 #endif
@@ -32,9 +36,9 @@ struct ThreadState {
 /// Registry of every thread that ever traced. States are shared_ptr so a
 /// thread exiting does not invalidate its (still unread) buffer.
 ///
-/// The task-parallel engine's pool backend spawns short-lived workers (a
-/// fresh team per band when OpenMP is absent), so "every thread that ever
-/// traced" is unbounded over a long run. Exited threads' buffers are
+/// The worker team's members persist, but any other thread that traces
+/// (a caller's own std::threads, a test's) may exit, so "every thread that
+/// ever traced" is unbounded over a long run. Exited threads' buffers are
 /// therefore *merged on flush*: any aggregation pass folds the counters
 /// and events of dead threads into the `retired` accumulators and drops
 /// their states, keeping the registry bounded by the number of *live*
@@ -100,8 +104,13 @@ std::int64_t steady_ns() {
 
 std::int64_t now_ns() { return steady_ns() - g_epoch_ns.load(std::memory_order_relaxed); }
 
+// The sinks below write through `Out`: a std::ostream, or the crash
+// path's SignalSink (async-signal-safe), which provides the same
+// operator<< for char, const char* and long long.
+
 /// JSON string escape for names (call-site literals, but keep it correct).
-void write_json_string(std::ostream& os, const char* s) {
+template <typename Out>
+void write_json_string(Out& os, const char* s) {
   os << '"';
   for (; *s != '\0'; ++s) {
     const char c = *s;
@@ -120,6 +129,55 @@ void write_json_string(std::ostream& os, const char* s) {
     }
   }
   os << '"';
+}
+
+/// One Chrome trace "X" event. Times are microseconds in the format, so
+/// nanoseconds are written as `<ns>e-3`: exact at any run length.
+template <typename Out>
+void write_trace_event(Out& os, const Event& e) {
+  os << "{\"name\":";
+  write_json_string(os, e.name);
+  os << ",\"cat\":";
+  write_json_string(os, e.cat);
+  os << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << static_cast<long long>(e.tid)
+     << ",\"ts\":" << static_cast<long long>(e.ts_ns)
+     << "e-3,\"dur\":" << static_cast<long long>(e.dur_ns) << "e-3";
+  if (e.has_arg || e.n_slots > 0) {
+    os << ",\"args\":{";
+    bool first_arg = true;
+    if (e.has_arg) {
+      os << "\"t\":" << static_cast<long long>(e.arg);
+      first_arg = false;
+    }
+    for (int i = 0; i < e.n_slots; ++i) {
+      if (!first_arg) os << ',';
+      first_arg = false;
+      write_json_string(os, e.slot_names[i]);
+      os << ':'
+         << static_cast<long long>(e.slots[static_cast<std::size_t>(i)]);
+    }
+    os << '}';
+  }
+  os << '}';
+}
+
+/// Counter totals as JSON object members: "name":value,...
+template <typename Out>
+void write_counter_fields(Out& os, const CounterSnapshot& counters) {
+  for (int c = 0; c < kNumCounters; ++c) {
+    if (c != 0) os << ',';
+    write_json_string(os, to_string(static_cast<Counter>(c)));
+    os << ':' << counters[static_cast<std::size_t>(c)];
+  }
+}
+
+/// Counter totals as metrics CSV rows.
+template <typename Out>
+void write_counter_rows(Out& os, const CounterSnapshot& counters) {
+  for (int c = 0; c < kNumCounters; ++c) {
+    os << "counter," << to_string(static_cast<Counter>(c)) << ','
+       << counters[static_cast<std::size_t>(c)] << '\n';
+  }
 }
 
 /// Per-span-name aggregate used by the flat metrics sinks.
@@ -325,41 +383,12 @@ void write_chrome_trace(std::ostream& os) {
   os << "{\"traceEvents\":[";
   bool first = true;
   for (const Event& e : events()) {
-    if (!first) os << ",";
+    os << (first ? "\n" : ",\n");
     first = false;
-    os << "\n{\"name\":";
-    write_json_string(os, e.name);
-    os << ",\"cat\":";
-    write_json_string(os, e.cat);
-    // Chrome trace timestamps are microseconds; keep ns precision via the
-    // fractional part.
-    os << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid
-       << ",\"ts\":" << static_cast<double>(e.ts_ns) / 1e3
-       << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1e3;
-    if (e.has_arg || e.n_slots > 0) {
-      os << ",\"args\":{";
-      bool first_arg = true;
-      if (e.has_arg) {
-        os << "\"t\":" << e.arg;
-        first_arg = false;
-      }
-      for (int i = 0; i < e.n_slots; ++i) {
-        if (!first_arg) os << ",";
-        first_arg = false;
-        write_json_string(os, e.slot_names[i]);
-        os << ":" << e.slots[static_cast<std::size_t>(i)];
-      }
-      os << "}";
-    }
-    os << "}";
+    write_trace_event(os, e);
   }
   os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{";
-  const CounterSnapshot counters = snapshot();
-  for (int c = 0; c < kNumCounters; ++c) {
-    if (c != 0) os << ",";
-    write_json_string(os, to_string(static_cast<Counter>(c)));
-    os << ":" << counters[static_cast<std::size_t>(c)];
-  }
+  write_counter_fields(os, snapshot());
   os << "}}\n";
 }
 
@@ -376,11 +405,7 @@ void write_metrics_csv(std::ostream& os) {
   // Schema marker only in v2 (enriched) mode: the v1 byte stream is a
   // golden-test contract.
   if (any_enriched(agg)) os << "schema,version,2\n";
-  const CounterSnapshot counters = snapshot();
-  for (int c = 0; c < kNumCounters; ++c) {
-    os << "counter," << to_string(static_cast<Counter>(c)) << ","
-       << counters[static_cast<std::size_t>(c)] << "\n";
-  }
+  write_counter_rows(os, snapshot());
   for (const auto& [name, a] : agg) {
     os << "span_count," << name << "," << a.count << "\n";
     os << "span_ms," << name << ","
@@ -397,12 +422,7 @@ void write_metrics_json(std::ostream& os) {
   os << "{";
   if (any_enriched(agg)) os << "\"schema_version\":2,";
   os << "\"counters\":{";
-  const CounterSnapshot counters = snapshot();
-  for (int c = 0; c < kNumCounters; ++c) {
-    if (c != 0) os << ",";
-    write_json_string(os, to_string(static_cast<Counter>(c)));
-    os << ":" << counters[static_cast<std::size_t>(c)];
-  }
+  write_counter_fields(os, snapshot());
   os << "},\"spans\":{";
   bool first = true;
   for (const auto& [name, a] : agg) {
@@ -440,14 +460,19 @@ bool write_metrics(const std::string& path) {
 
 namespace {
 
-/// Crash-flush state for the armed Session. Paths are written once at arm
-/// time (before any fault can fire the hooks) and only cleared after the
-/// flushed flag is already set, so the handlers never race a mutation.
+/// Crash-flush state for the armed Session. Paths and descriptors are set
+/// at arm time (before any fault can fire the hooks) and only cleared
+/// after the flushed flag is already set, so the handlers never race a
+/// mutation.
 struct CrashFlush {
   std::string trace_path;
   std::string metrics_path;
+  int trace_fd = -1;  ///< opened at arm time for the signal path
+  int metrics_fd = -1;
+  bool metrics_csv = false;
   std::atomic<bool> flushed{true};  ///< true: nothing (left) to write
   bool hooks_installed = false;
+  char buf[8192];  ///< the signal path's output buffer
 };
 
 CrashFlush& crash_flush_state() {
@@ -456,13 +481,127 @@ CrashFlush& crash_flush_state() {
 }
 
 #if defined(TEMPEST_TRACE_HAVE_SIGNALS)
+void close_crash_fds(CrashFlush& cf) {
+  if (cf.trace_fd >= 0) ::close(cf.trace_fd);
+  if (cf.metrics_fd >= 0) ::close(cf.metrics_fd);
+  cf.trace_fd = cf.metrics_fd = -1;
+}
+
+/// Async-signal-safe sink: formats into the preallocated CrashFlush
+/// buffer and drains it with write(2). No allocation, no locale, no stdio.
+class SignalSink {
+ public:
+  SignalSink(int fd, char* buf, std::size_t cap)
+      : fd_(fd), buf_(buf), cap_(cap) {}
+  ~SignalSink() { flush(); }
+  SignalSink(const SignalSink&) = delete;
+  SignalSink& operator=(const SignalSink&) = delete;
+
+  SignalSink& operator<<(char c) {
+    if (len_ == cap_) flush();
+    buf_[len_++] = c;
+    return *this;
+  }
+  SignalSink& operator<<(const char* s) {
+    for (; *s != '\0'; ++s) *this << *s;
+    return *this;
+  }
+  SignalSink& operator<<(long long v) {
+    char digits[24];
+    int n = 0;
+    const bool neg = v < 0;
+    unsigned long long u = neg ? 0ull - static_cast<unsigned long long>(v)
+                               : static_cast<unsigned long long>(v);
+    do {
+      digits[n++] = static_cast<char>('0' + u % 10);
+      u /= 10;
+    } while (u != 0);
+    if (neg) *this << '-';
+    while (n > 0) *this << digits[--n];
+    return *this;
+  }
+  void flush() {
+    std::size_t done = 0;
+    while (done < len_) {
+      const ssize_t w = ::write(fd_, buf_ + done, len_ - done);
+      if (w < 0 && errno == EINTR) continue;
+      if (w <= 0) break;
+      done += static_cast<std::size_t>(w);
+    }
+    len_ = 0;
+  }
+
+ private:
+  int fd_;
+  char* buf_;
+  std::size_t cap_;
+  std::size_t len_ = 0;
+};
+
+/// The signal path's flush: the Chrome trace (unsorted: spans in buffers
+/// it can lock without blocking) and the counter totals, written to the
+/// descriptors opened at arm time. Locks are only try-locked — the
+/// faulting thread may hold one — and whatever is busy is left out. Span
+/// aggregates need allocation, so the crash-time metrics carry counters
+/// only.
+void crash_flush_from_signal(CrashFlush& cf) {
+  Registry& r = registry();
+  const bool have_registry = r.mu.try_lock();
+  CounterSnapshot counters{};
+  if (have_registry) {
+    counters = r.retired_counters;
+    for (const auto& st : r.states) {
+      for (int c = 0; c < kNumCounters; ++c) {
+        counters[static_cast<std::size_t>(c)] +=
+            st->counters[static_cast<std::size_t>(c)].load(
+                std::memory_order_relaxed);
+      }
+    }
+  }
+  if (cf.trace_fd >= 0) {
+    SignalSink out(cf.trace_fd, cf.buf, sizeof(cf.buf));
+    out << "{\"traceEvents\":[";
+    bool first = true;
+    auto event = [&](const Event& e) {
+      out << (first ? "\n" : ",\n");
+      first = false;
+      write_trace_event(out, e);
+    };
+    if (have_registry) {
+      for (const Event& e : r.retired_events) event(e);
+      for (const auto& st : r.states) {
+        if (!st->mu.try_lock()) continue;
+        for (const Event& e : st->events) event(e);
+        st->mu.unlock();
+      }
+    }
+    out << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{";
+    if (have_registry) write_counter_fields(out, counters);
+    out << "}}\n";
+  }
+  if (cf.metrics_fd >= 0) {
+    SignalSink out(cf.metrics_fd, cf.buf, sizeof(cf.buf));
+    if (cf.metrics_csv) {
+      out << "kind,name,value\n";
+      if (have_registry) write_counter_rows(out, counters);
+    } else {
+      out << "{\"counters\":{";
+      if (have_registry) write_counter_fields(out, counters);
+      out << "},\"spans\":{}}\n";
+    }
+  }
+  if (have_registry) r.mu.unlock();
+}
+
 void crash_signal_handler(int sig) {
-  // Best-effort: ofstream is not async-signal-safe, but for the fatal
-  // signals we install on (and only where no other runtime claimed the
-  // signal) a truncated-but-valid trace beats certain loss. The flushed
-  // exchange in crash_flush_now() makes a double fault inside the flush
-  // fall straight through to the re-raise.
-  crash_flush_now();
+  const int saved_errno = errno;
+  CrashFlush& cf = crash_flush_state();
+  // The flushed exchange makes a double fault inside the flush fall
+  // straight through to the re-raise.
+  if (!cf.flushed.exchange(true, std::memory_order_acq_rel)) {
+    crash_flush_from_signal(cf);
+  }
+  errno = saved_errno;
   std::signal(sig, SIG_DFL);
   std::raise(sig);
 }
@@ -512,6 +651,20 @@ Session::Session(std::string trace_path, std::string metrics_path)
     CrashFlush& cf = crash_flush_state();
     cf.trace_path = trace_path_;
     cf.metrics_path = metrics_path_;
+#if defined(TEMPEST_TRACE_HAVE_SIGNALS)
+    // The signal path may not open files: it gets its descriptors now.
+    close_crash_fds(cf);
+    const int flags = O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC;
+    if (!trace_path_.empty()) {
+      cf.trace_fd = ::open(trace_path_.c_str(), flags, 0644);
+    }
+    if (!metrics_path_.empty()) {
+      cf.metrics_fd = ::open(metrics_path_.c_str(), flags, 0644);
+    }
+    cf.metrics_csv = metrics_path_.size() >= 4 &&
+                     metrics_path_.compare(metrics_path_.size() - 4, 4,
+                                           ".csv") == 0;
+#endif
     install_crash_hooks();
     cf.flushed.store(false, std::memory_order_release);
   }
@@ -520,7 +673,11 @@ Session::Session(std::string trace_path, std::string metrics_path)
 Session::~Session() {
   // Disarm the crash hook before writing: the destructor pass is the
   // complete one, and a subsequent atexit flush must not overwrite it.
-  crash_flush_state().flushed.store(true, std::memory_order_release);
+  CrashFlush& cf = crash_flush_state();
+  cf.flushed.store(true, std::memory_order_release);
+#if defined(TEMPEST_TRACE_HAVE_SIGNALS)
+  if (!trace_path_.empty() || !metrics_path_.empty()) close_crash_fds(cf);
+#endif
   if (!trace_path_.empty()) write_chrome_trace(trace_path_);
   if (!metrics_path_.empty()) write_metrics(metrics_path_);
 }

@@ -188,8 +188,12 @@ bool write_metrics(const std::string& path);  ///< .csv -> CSV, else JSON
 /// SIGFPE/SIGILL, installed only where no other handler is present so
 /// sanitizer runtimes keep theirs). If the process dies before the
 /// destructor runs, the hook writes whatever spans have completed — a
-/// truncated-but-valid trace instead of nothing. The flush is idempotent:
-/// a clean destructor pass disarms it.
+/// truncated-but-valid trace instead of nothing. The signal handler is
+/// async-signal-safe: it writes through descriptors the Session opened
+/// (creating the files) at construction, from a preallocated buffer, with write(2); it leaves out
+/// buffers another thread holds locked, and its metrics carry the counter
+/// totals only (span aggregates would need allocation). The flush is
+/// idempotent: a clean destructor pass disarms it.
 class Session {
  public:
   Session(std::string trace_path, std::string metrics_path);

@@ -3,26 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "tempest/util/error.hpp"
 
 namespace tempest::util {
-
-bool openmp_runtime() {
-#ifdef _OPENMP
-  return true;
-#else
-  return false;
-#endif
-}
 
 int env_threads() {
   const char* env = std::getenv("TEMPEST_THREADS");
@@ -36,94 +25,161 @@ int resolve_threads(int requested) {
   if (requested >= 1) return requested;
   const int env = env_threads();
   if (env >= 1) return env;
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
-
-const char* to_string(TaskBackend b) {
-  switch (b) {
-    case TaskBackend::Serial: return "serial";
-    case TaskBackend::OpenMP: return "openmp";
-    case TaskBackend::Pool: return "pool";
-  }
-  return "?";
-}
-
-TaskBackend select_backend(int threads) {
-  if (threads <= 1) return TaskBackend::Serial;
-  return openmp_runtime() ? TaskBackend::OpenMP : TaskBackend::Pool;
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
 namespace {
 
-/// First-exception capture shared by the parallel executors: bodies run
-/// under no-throw workers (std::thread would terminate), the first
-/// exception is kept and rethrown on the calling thread after the join.
+/// Polls of a dispatch or completion flag before a thread parks: long
+/// enough to bridge the gap between back-to-back calls (one substep to the
+/// next), short enough that an idle team costs no CPU.
+constexpr int kSpinPolls = 20000;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spin on `ready` for kSpinPolls polls, then block on `cv` until it holds.
+/// `ready` reads atomics; whoever makes it true must then lock `mu` before
+/// notifying `cv` (a waiter holds `mu` from its last check until it
+/// sleeps), so no wakeup is lost.
+template <typename Ready>
+void spin_then_park(const Ready& ready, std::mutex& mu,
+                    std::condition_variable& cv) {
+  for (int i = 0; i < kSpinPolls; ++i) {
+    if (ready()) return;
+    cpu_relax();
+  }
+  std::unique_lock<std::mutex> lk(mu);
+  cv.wait(lk, ready);
+}
+
+/// True on team members and on a caller while it runs its worker-0 share:
+/// a parallel call made there runs inline.
+thread_local bool t_in_team = false;
+
+/// The process-wide worker team. Every member acknowledges every dispatch
+/// (members beyond the job's worker count just count down), so the caller
+/// only rewrites the job fields once the whole team is idle again.
+class Team {
+ public:
+  /// Never destroyed: members keep polling the team's fields after the
+  /// last call, so destroying it at exit would race them; parked members
+  /// simply end with the process.
+  static Team& instance() {
+    static Team* const team = new Team;
+    return *team;
+  }
+
+  /// Run job(w) for w in [0, workers), the caller as worker 0. Returns
+  /// false without running anything when the caller is inside a team job
+  /// or another thread owns the team.
+  bool run(int workers, const std::function<void(int)>& job) {
+    if (t_in_team) return false;
+    const std::unique_lock<std::mutex> owner(owner_, std::try_to_lock);
+    if (!owner.owns_lock()) return false;
+    while (static_cast<int>(members_.size()) < workers - 1) {
+      const int w = static_cast<int>(members_.size()) + 1;
+      const std::uint64_t seen = epoch_.load(std::memory_order_relaxed);
+      members_.emplace_back([this, w, seen] { member(w, seen); });
+    }
+    job_ = &job;
+    workers_ = workers;
+    pending_.store(static_cast<int>(members_.size()),
+                   std::memory_order_relaxed);
+    {
+      const std::lock_guard<std::mutex> lk(park_mu_);
+      epoch_.fetch_add(1, std::memory_order_release);
+    }
+    park_cv_.notify_all();
+    t_in_team = true;
+    job(0);
+    t_in_team = false;
+    spin_then_park(
+        [this] { return pending_.load(std::memory_order_acquire) == 0; },
+        done_mu_, done_cv_);
+    return true;
+  }
+
+ private:
+  void member(int w, std::uint64_t seen) {
+    t_in_team = true;
+    for (;;) {
+      spin_then_park(
+          [&] { return epoch_.load(std::memory_order_acquire) != seen; },
+          park_mu_, park_cv_);
+      ++seen;
+      if (w < workers_) (*job_)(w);
+      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        const std::lock_guard<std::mutex> lk(done_mu_);
+        done_cv_.notify_one();
+      }
+    }
+  }
+
+  std::mutex owner_;  ///< held by the calling thread for a whole dispatch
+  std::vector<std::thread> members_;
+  const std::function<void(int)>* job_ = nullptr;
+  int workers_ = 0;
+  std::atomic<std::uint64_t> epoch_{0};
+  std::atomic<int> pending_{0};
+  std::mutex park_mu_;
+  std::condition_variable park_cv_;
+  std::mutex done_mu_;
+  std::condition_variable done_cv_;
+};
+
+/// First-exception capture: worker bodies must not throw out of the team,
+/// so the first exception is kept and rethrown on the calling thread.
 class ExceptionSlot {
  public:
   void capture() {
-    if (armed_.exchange(true, std::memory_order_acq_rel)) return;
-    ptr_ = std::current_exception();
-    ready_.store(true, std::memory_order_release);
+    const std::lock_guard<std::mutex> lk(mu_);
+    if (!ptr_) ptr_ = std::current_exception();
+    armed_.store(true, std::memory_order_relaxed);
   }
   [[nodiscard]] bool armed() const {
-    return armed_.load(std::memory_order_acquire);
+    return armed_.load(std::memory_order_relaxed);
   }
-  void rethrow() {
-    if (!armed_.load(std::memory_order_acquire)) return;
-    while (!ready_.load(std::memory_order_acquire)) std::this_thread::yield();
-    std::rethrow_exception(ptr_);
+  /// Call after the team has finished the job.
+  void rethrow() const {
+    if (ptr_) std::rethrow_exception(ptr_);
   }
 
  private:
   std::atomic<bool> armed_{false};
-  std::atomic<bool> ready_{false};
+  std::mutex mu_;
   std::exception_ptr ptr_;
 };
 
 }  // namespace
 
 void parallel_for(int n, int threads, const std::function<void(int)>& fn) {
-  if (n <= 0) return;
   const int workers = std::min(threads, n);
-  if (workers <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ExceptionSlot error;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) num_threads(workers)
-  for (int i = 0; i < n; ++i) {
-    if (error.armed()) continue;
-    try {
-      fn(i);
-    } catch (...) {
-      error.capture();
-    }
-  }
-#else
-  std::atomic<int> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n || error.armed()) return;
-      try {
-        fn(i);
-      } catch (...) {
-        error.capture();
+  if (workers > 1) {
+    std::atomic<int> next{0};
+    ExceptionSlot error;
+    const std::function<void(int)> job = [&](int) {
+      for (int i = next.fetch_add(1, std::memory_order_relaxed);
+           i < n && !error.armed();
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        try {
+          fn(i);
+        } catch (...) {
+          error.capture();
+        }
       }
+    };
+    if (Team::instance().run(workers, job)) {
+      error.rethrow();
+      return;
     }
-  };
-  std::vector<std::thread> team;
-  team.reserve(static_cast<std::size_t>(workers) - 1);
-  for (int w = 1; w < workers; ++w) team.emplace_back(worker);
-  worker();
-  for (std::thread& t : team) t.join();
-#endif
-  error.rethrow();
+  }
+  for (int i = 0; i < n; ++i) fn(i);
 }
 
 TaskDag::TaskDag(int n) : n_(n) {
@@ -145,140 +201,81 @@ const std::vector<int>& TaskDag::preds(int node) const {
   return preds_[static_cast<std::size_t>(node)];
 }
 
-int TaskDag::max_preds() const {
-  std::size_t m = 0;
-  for (const auto& p : preds_) m = std::max(m, p.size());
-  return static_cast<int>(m);
-}
-
 void TaskDag::run(int threads, const std::function<void(int)>& body) const {
-  if (n_ == 0) return;
   const int workers = std::min(threads, n_);
-  switch (select_backend(workers)) {
-    case TaskBackend::Serial:
-      for (int i = 0; i < n_; ++i) body(i);
-      return;
-    case TaskBackend::OpenMP:
-      run_omp(workers, body);
-      return;
-    case TaskBackend::Pool:
-      run_pool(workers, body);
-      return;
-  }
-}
-
-void TaskDag::run_omp(int threads, const std::function<void(int)>& body) const {
-#ifdef _OPENMP
-  TEMPEST_REQUIRE_MSG(max_preds() <= 2,
-                      "the OpenMP task backend expresses at most two "
-                      "predecessors per node (fixed-arity depend clauses); "
-                      "generate a staircase-reduced graph");
-  // One sentinel byte per node: tasks depend on the *addresses*, never the
-  // values. All tasks bound to the parallel region complete at the implicit
-  // barrier ending the single construct, so the vector outlives them.
-  std::vector<char> sentinel(static_cast<std::size_t>(n_), 0);
-  char* dep = sentinel.data();
-  ExceptionSlot error;
-#pragma omp parallel num_threads(threads) default(shared)
-#pragma omp single
-  {
+  if (workers > 1) {
+    // Topological execution: a node becomes ready when its last
+    // predecessor completes. The finishing worker keeps one newly ready
+    // successor for itself and pushes the rest on the ready stack. `m`
+    // guards the stack, in-degrees and `remaining`; `avail` and `drained`
+    // mirror them so idle workers can spin before they park.
+    std::vector<int> indeg(static_cast<std::size_t>(n_));
+    std::vector<int> ready;
     for (int i = 0; i < n_; ++i) {
-      const auto& p = preds_[static_cast<std::size_t>(i)];
-      const int a = p.empty() ? 0 : p[0];
-      const int b = p.size() < 2 ? 0 : p[1];
-      switch (p.size()) {
-        case 0:
-#pragma omp task depend(out : dep[i]) firstprivate(i) default(shared)
-          {
-            if (!error.armed()) {
-              try {
-                body(i);
-              } catch (...) {
-                error.capture();
-              }
-            }
-          }
-          break;
-        case 1:
-#pragma omp task depend(in : dep[a]) depend(out : dep[i]) \
-    firstprivate(i, a) default(shared)
-          {
-            if (!error.armed()) {
-              try {
-                body(i);
-              } catch (...) {
-                error.capture();
-              }
-            }
-          }
-          break;
-        default:
-#pragma omp task depend(in : dep[a], dep[b]) depend(out : dep[i]) \
-    firstprivate(i, a, b) default(shared)
-          {
-            if (!error.armed()) {
-              try {
-                body(i);
-              } catch (...) {
-                error.capture();
-              }
-            }
-          }
-          break;
-      }
+      indeg[static_cast<std::size_t>(i)] = static_cast<int>(preds(i).size());
+      if (preds(i).empty()) ready.push_back(i);
     }
-  }
-  error.rethrow();
-#else
-  run_pool(threads, body);
-#endif
-}
-
-void TaskDag::run_pool(int threads, const std::function<void(int)>& body) const {
-  std::vector<int> indeg(static_cast<std::size_t>(n_), 0);
-  for (int i = 0; i < n_; ++i) {
-    indeg[static_cast<std::size_t>(i)] =
-        static_cast<int>(preds_[static_cast<std::size_t>(i)].size());
-  }
-  std::mutex m;
-  std::condition_variable cv;
-  std::vector<int> ready;
-  for (int i = 0; i < n_; ++i) {
-    if (indeg[static_cast<std::size_t>(i)] == 0) ready.push_back(i);
-  }
-  int remaining = n_;
-  ExceptionSlot error;
-
-  auto worker = [&] {
-    std::unique_lock<std::mutex> lk(m);
-    for (;;) {
-      cv.wait(lk, [&] { return !ready.empty() || remaining == 0; });
-      if (ready.empty()) return;  // remaining == 0: drained
-      const int task = ready.back();
-      ready.pop_back();
-      lk.unlock();
-      if (!error.armed()) {
-        try {
-          body(task);
-        } catch (...) {
-          error.capture();
+    int remaining = n_;
+    std::mutex m;
+    std::condition_variable cv;
+    std::atomic<int> avail{static_cast<int>(ready.size())};
+    std::atomic<bool> drained{false};
+    ExceptionSlot error;
+    const std::function<void(int)> job = [&](int) {
+      int task = -1;
+      for (;;) {
+        if (task < 0) {
+          spin_then_park(
+              [&] {
+                return avail.load(std::memory_order_relaxed) > 0 ||
+                       drained.load(std::memory_order_relaxed);
+              },
+              m, cv);
+          const std::lock_guard<std::mutex> lk(m);
+          if (ready.empty()) {
+            if (remaining == 0) return;
+            continue;  // another worker took it
+          }
+          task = ready.back();
+          ready.pop_back();
+          avail.store(static_cast<int>(ready.size()),
+                      std::memory_order_relaxed);
         }
+        if (!error.armed()) {
+          try {
+            body(task);
+          } catch (...) {
+            error.capture();
+          }
+        }
+        int next = -1;
+        bool wake = false;
+        {
+          const std::lock_guard<std::mutex> lk(m);
+          --remaining;
+          for (const int s : succs_[static_cast<std::size_t>(task)]) {
+            if (--indeg[static_cast<std::size_t>(s)] != 0) continue;
+            if (next < 0) {
+              next = s;
+            } else {
+              ready.push_back(s);
+            }
+          }
+          avail.store(static_cast<int>(ready.size()),
+                      std::memory_order_relaxed);
+          drained.store(remaining == 0, std::memory_order_relaxed);
+          wake = !ready.empty() || remaining == 0;
+        }
+        if (wake) cv.notify_all();
+        task = next;
       }
-      lk.lock();
-      --remaining;
-      for (const int s : succs_[static_cast<std::size_t>(task)]) {
-        if (--indeg[static_cast<std::size_t>(s)] == 0) ready.push_back(s);
-      }
-      if (remaining == 0 || !ready.empty()) cv.notify_all();
+    };
+    if (Team::instance().run(workers, job)) {
+      error.rethrow();
+      return;
     }
-  };
-
-  std::vector<std::thread> team;
-  team.reserve(static_cast<std::size_t>(threads) - 1);
-  for (int w = 1; w < threads; ++w) team.emplace_back(worker);
-  worker();
-  for (std::thread& t : team) t.join();
-  error.rethrow();
+  }
+  for (int i = 0; i < n_; ++i) body(i);
 }
 
 }  // namespace tempest::util

@@ -1,69 +1,44 @@
 #pragma once
 
-// Thread-count policy and the task-graph execution substrate shared by the
-// parallel schedules.
+// Thread-count policy and the one runtime every parallel schedule runs on.
 //
 // Thread policy: one knob, `TEMPEST_THREADS`. An explicit request (CLI flag,
 // ExecutionOptions::threads) wins; otherwise the environment variable;
-// otherwise the OpenMP default when the runtime is linked, else 1. A
-// resolved count of 1 always means the deterministic serial path — no
-// parallel runtime is entered at all.
+// otherwise std::thread::hardware_concurrency(). A resolved count of 1
+// always means the deterministic serial path — no worker is woken at all.
 //
-// Execution substrate: TaskDag is a static DAG of coarse tasks (wavefront
-// tiles, diamond triangles, color layers) with two parallel backends that
-// honor exactly the same edges:
-//   * OpenMP tasks with `depend` clauses (the default when the OpenMP
-//     runtime is present). Nodes carry at most two predecessors — the
-//     engine's tile graphs are generated so the staircase set suffices —
-//     which maps onto fixed-arity OpenMP 4.5 depend lists;
-//   * a portable std::thread topological pool using only standard C++
-//     synchronization. This is the backend the ThreadSanitizer preset
-//     exercises: GCC's libgomp is not TSan-instrumented (its barriers are
-//     invisible to the race detector, drowning real reports in false
-//     positives), so the tsan build compiles without the OpenMP runtime
-//     (keeping -fopenmp-simd) and proves race-freedom of the task bodies —
-//     the code that could actually race — through this pool.
-// Both backends run the same bodies under the same dependence edges, so a
-// race TSan can see in the pool is a race the OpenMP schedule has too.
+// Runtime: a process-wide team of persistent std::thread workers, grown
+// lazily to the largest count ever requested and never shrunk. Between
+// calls its members spin briefly on the dispatch flag, then park on a
+// condition variable. The calling thread takes part as worker 0. A call
+// made from inside a running body (nested), or while another thread owns
+// the team (concurrent), runs inline on the calling thread in ascending
+// order — still correct, just serial. Only standard C++ synchronization is
+// used, so the ThreadSanitizer build checks exactly the runtime users run.
 
 #include <functional>
 #include <vector>
 
 namespace tempest::util {
 
-/// True when compiled against the OpenMP *runtime* (-fopenmp). The tsan
-/// preset builds with -fopenmp-simd only: simd pragmas still vectorize,
-/// but this returns false and the pool backend takes over.
-[[nodiscard]] bool openmp_runtime();
-
 /// $TEMPEST_THREADS parsed (clamped to >= 1), or 0 when unset/invalid.
 [[nodiscard]] int env_threads();
 
 /// The worker count a parallel region should use: `requested` when >= 1,
-/// else $TEMPEST_THREADS, else the OpenMP runtime default, else 1.
+/// else $TEMPEST_THREADS, else std::thread::hardware_concurrency() (>= 1).
 [[nodiscard]] int resolve_threads(int requested = 0);
 
-/// Which substrate a TaskDag/parallel_for invocation will use for a given
-/// resolved worker count.
-enum class TaskBackend {
-  Serial,  ///< threads == 1: plain loops, bitwise-reference order
-  OpenMP,  ///< OpenMP tasks / parallel-for (runtime present)
-  Pool,    ///< std::thread topological pool (OpenMP runtime absent)
-};
-
-[[nodiscard]] const char* to_string(TaskBackend b);
-[[nodiscard]] TaskBackend select_backend(int threads);
-
 /// Run fn(i) for every i in [0, n). threads <= 1 runs the serial loop in
-/// ascending order; otherwise the iterations execute concurrently (OpenMP
-/// parallel-for or a transient std::thread team) and fn must be race-free
-/// across iterations. Exceptions from fn are rethrown (first one wins).
+/// ascending order; otherwise the iterations execute concurrently on the
+/// worker team and fn must be race-free across iterations. Exceptions from
+/// fn are rethrown (first one wins; later iterations are skipped).
 void parallel_for(int n, int threads, const std::function<void(int)>& fn);
 
-/// A static task DAG executed under the selected backend. Nodes are dense
-/// ints [0, size); edges always point from a lower to a higher node id, so
-/// ascending node order is a topological order and the serial backend is
-/// simply `for (i) body(i)` — the bitwise-deterministic reference schedule.
+/// A static task DAG executed on the worker team. Nodes are dense ints
+/// [0, size); edges always point from a lower to a higher node id, so
+/// ascending node order is a topological order and the serial schedule is
+/// simply `for (i) body(i)` — the bitwise-deterministic reference. A node
+/// may have any number of predecessors.
 class TaskDag {
  public:
   TaskDag() = default;
@@ -76,19 +51,12 @@ class TaskDag {
   [[nodiscard]] int size() const { return n_; }
   [[nodiscard]] const std::vector<int>& preds(int node) const;
 
-  /// Largest predecessor-list length — the OpenMP backend requires <= 2
-  /// (fixed-arity depend clauses; the engine's generators guarantee it).
-  [[nodiscard]] int max_preds() const;
-
   /// Execute body(node) for every node honoring every edge. threads <= 1:
   /// serial ascending order. Exceptions are rethrown after the graph
   /// drains (remaining bodies are skipped, first exception wins).
   void run(int threads, const std::function<void(int)>& body) const;
 
  private:
-  void run_omp(int threads, const std::function<void(int)>& body) const;
-  void run_pool(int threads, const std::function<void(int)>& body) const;
-
   int n_ = 0;
   std::vector<std::vector<int>> preds_;
   std::vector<std::vector<int>> succs_;

@@ -246,12 +246,16 @@ TEST(Receivers, DecompositionMatchesNaiveGather) {
   const auto dr =
       tc::decompose_receivers(kE, rec_fused, sp::InterpKind::Trilinear);
   const tc::CompressedSparse cs(dr.rm, dr.rid);
+  tc::ReceiverStage stage(1, dr.npts);
+  stage.begin_band(1);
+  tc::fused_sample(u, cs, stage.row(1), {0, kE.nx}, {0, kE.ny});
   rec_fused.zero();
-  tc::fused_gather(u, cs, dr, rec_fused.step(1).data(), {0, kE.nx},
-                   {0, kE.ny});
+  tc::reduce_receiver_stage(stage, dr, 1, rec_fused.step(1).data());
 
+  // Both walk each receiver's support in ascending (x, y, z) order from
+  // zero in real_t: the sums are bitwise equal, not merely close.
   for (int r = 0; r < rec_naive.npoints(); ++r) {
-    EXPECT_NEAR(rec_naive.at(1, r), rec_fused.at(1, r), 1e-4) << "r=" << r;
+    EXPECT_EQ(rec_naive.at(1, r), rec_fused.at(1, r)) << "r=" << r;
   }
 }
 
@@ -261,9 +265,12 @@ TEST(Receivers, PartialColumnsAccumulate) {
   tg::Grid3<real_t> u(kE, 0, 1.0f);
   const auto dr = tc::decompose_receivers(kE, rec, sp::InterpKind::Trilinear);
   const tc::CompressedSparse cs(dr.rm, dr.rid);
-  // Gather over two disjoint x ranges must equal the full gather.
-  tc::fused_gather(u, cs, dr, rec.step(0).data(), {0, 5}, {0, kE.ny});
-  tc::fused_gather(u, cs, dr, rec.step(0).data(), {5, kE.nx}, {0, kE.ny});
+  // Sampling over two disjoint x ranges must fill the whole stage row.
+  tc::ReceiverStage stage(1, dr.npts);
+  stage.begin_band(0);
+  tc::fused_sample(u, cs, stage.row(0), {0, 5}, {0, kE.ny});
+  tc::fused_sample(u, cs, stage.row(0), {5, kE.nx}, {0, kE.ny});
+  tc::reduce_receiver_stage(stage, dr, 0, rec.step(0).data());
   EXPECT_NEAR(rec.at(0, 0), 1.0, 1e-5);  // partition of unity on constant u
 }
 

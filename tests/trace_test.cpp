@@ -387,8 +387,8 @@ TEST_F(TraceTest, EnabledCounterOverheadIsBounded) {
 #if !defined(TEMPEST_TRACE_DISABLED)
 // --- Concurrent-span / thread-count invariance regression ----------------
 //
-// The task-parallel engine records counters and spans from short-lived
-// worker threads (the pool backend spawns a fresh team per band). The trace
+// The task-parallel engine records counters and spans from worker threads,
+// and callers may trace from their own short-lived threads. The trace
 // layer must (a) never lose a retired worker's counts, and (b) produce a
 // v1 metrics sink whose deterministic rows — counters and span counts —
 // are byte-identical whether the instrumented region ran on 1 thread or an
@@ -585,6 +585,7 @@ TEST_F(TraceTest, CrashedSessionLeavesParseableTraceBehind) {
     // a libc abort would. No explicit flush — the hooks must do it.
     tr::Session session(trace_path, metrics_path);
     tr::count(tr::Counter::CellsUpdated, 21);
+    { const tr::ScopedSpan finished("finished.phase", "test"); }
     tr::ScopedSpan span("doomed.phase", "test");
     std::abort();
   }
@@ -600,6 +601,9 @@ TEST_F(TraceTest, CrashedSessionLeavesParseableTraceBehind) {
   JsonReader reader(text);
   EXPECT_TRUE(reader.parse()) << "crash-flushed trace is not valid JSON:\n"
                               << text.substr(0, 400);
+  // Completed spans survive the crash; the open one cannot.
+  EXPECT_NE(text.find("\"finished.phase\""), std::string::npos);
+  EXPECT_EQ(text.find("\"doomed.phase\""), std::string::npos);
 
   std::ifstream mf(metrics_path);
   ASSERT_TRUE(mf.is_open()) << "crashed session left no metrics file";

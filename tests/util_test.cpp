@@ -2,8 +2,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "tempest/util/align.hpp"
@@ -186,16 +190,72 @@ TEST(Table, RejectsWrongArity) {
 
 // --- Thread policy + task-graph substrate --------------------------------
 
-TEST(Threads, SelectBackendMatchesRuntime) {
-  EXPECT_EQ(tu::select_backend(1), tu::TaskBackend::Serial);
-  EXPECT_EQ(tu::select_backend(0), tu::TaskBackend::Serial);
-  const tu::TaskBackend multi = tu::select_backend(4);
-  if (tu::openmp_runtime()) {
-    EXPECT_EQ(multi, tu::TaskBackend::OpenMP);
-  } else {
-    EXPECT_EQ(multi, tu::TaskBackend::Pool);
+namespace {
+
+/// Counts the distinct OS threads that ever touched it: a thread_local's
+/// constructor runs once per thread, whatever id the thread is given.
+std::atomic<int> g_probe_threads{0};
+struct ThreadProbe {
+  ThreadProbe() { g_probe_threads.fetch_add(1); }
+};
+thread_local ThreadProbe t_probe;
+
+}  // namespace
+
+TEST(Threads, TeamPersistsAcrossCalls) {
+  // A team spawned per call would bring fresh threads every time; the
+  // persistent team serves 200 calls with the caller plus 3 members.
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  g_probe_threads.store(0);
+  for (int call = 0; call < 200; ++call) {
+    tu::parallel_for(64, 4, [&](int) {
+      (void)&t_probe;
+      const std::lock_guard<std::mutex> lk(mu);
+      ids.insert(std::this_thread::get_id());
+    });
   }
-  EXPECT_STRNE(tu::to_string(multi), tu::to_string(tu::TaskBackend::Serial));
+  EXPECT_LE(ids.size(), 4u);
+  EXPECT_LE(g_probe_threads.load(), 4);
+}
+
+TEST(Threads, ConcurrentCallersBothGetCorrectResults) {
+  // Whichever caller does not get the team runs its loop inline.
+  auto caller = [](std::vector<long long>* sums) {
+    for (int rep = 0; rep < 50; ++rep) {
+      std::vector<std::atomic<int>> hits(257);
+      tu::parallel_for(257, 4,
+                       [&](int i) { hits[static_cast<std::size_t>(i)]++; });
+      long long sum = 0;
+      for (const auto& h : hits) sum += h.load();
+      sums->push_back(sum);
+    }
+  };
+  std::vector<long long> a, b;
+  std::thread ta(caller, &a);
+  std::thread tb(caller, &b);
+  ta.join();
+  tb.join();
+  ASSERT_EQ(a.size(), 50u);
+  ASSERT_EQ(b.size(), 50u);
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k], 257);
+    EXPECT_EQ(b[k], 257);
+  }
+}
+
+TEST(Threads, TeamRunsNextCallAfterException) {
+  EXPECT_THROW(tu::parallel_for(64, 8,
+                                [](int i) {
+                                  if (i % 9 == 4) throw std::runtime_error("x");
+                                }),
+               std::runtime_error);
+  std::vector<std::atomic<int>> hits(97);
+  tu::parallel_for(97, 8,
+                   [&](int i) { hits[static_cast<std::size_t>(i)]++; });
+  for (int i = 0; i < 97; ++i) {
+    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "i=" << i;
+  }
 }
 
 TEST(Threads, ParallelForCoversEveryIndexExactlyOnce) {
@@ -225,8 +285,7 @@ TEST(Threads, ParallelForPropagatesException) {
 namespace {
 
 /// A staircase DAG matching the engine's wavefront tile graphs: node
-/// (ix, iy) on an ni x nj grid depends on (ix-1, iy) and (ix, iy-1) —
-/// the worst-case two-predecessor shape the OpenMP backend supports.
+/// (ix, iy) on an ni x nj grid depends on (ix-1, iy) and (ix, iy-1).
 tu::TaskDag staircase(int ni, int nj) {
   tu::TaskDag dag(ni * nj);
   for (int ix = 0; ix < ni; ++ix) {
@@ -239,14 +298,12 @@ tu::TaskDag staircase(int ni, int nj) {
   return dag;
 }
 
-}  // namespace
-
-TEST(TaskDag, HonorsStaircaseEdgesAtEveryThreadCount) {
-  const int ni = 5, nj = 4;
-  const tu::TaskDag dag = staircase(ni, nj);
-  EXPECT_EQ(dag.max_preds(), 2);
-  for (const int threads : {1, 2, 8}) {
-    std::vector<std::atomic<int>> done(static_cast<std::size_t>(ni * nj));
+/// Run `dag` at each thread count: every node must run exactly once, and
+/// only after all of its predecessors.
+void expect_edges_honored(const tu::TaskDag& dag,
+                          std::initializer_list<int> thread_counts) {
+  for (const int threads : thread_counts) {
+    std::vector<std::atomic<int>> done(static_cast<std::size_t>(dag.size()));
     std::atomic<bool> violated{false};
     dag.run(threads, [&](int node) {
       for (const int p : dag.preds(node)) {
@@ -254,13 +311,51 @@ TEST(TaskDag, HonorsStaircaseEdgesAtEveryThreadCount) {
           violated.store(true);
         }
       }
-      done[static_cast<std::size_t>(node)].store(1);
+      done[static_cast<std::size_t>(node)]++;
     });
     EXPECT_FALSE(violated.load()) << "threads=" << threads;
-    for (int i = 0; i < ni * nj; ++i) {
-      EXPECT_EQ(done[static_cast<std::size_t>(i)].load(), 1) << "node " << i;
+    for (int i = 0; i < dag.size(); ++i) {
+      EXPECT_EQ(done[static_cast<std::size_t>(i)].load(), 1)
+          << "node " << i << " threads=" << threads;
     }
   }
+}
+
+}  // namespace
+
+TEST(TaskDag, HonorsStaircaseEdgesAtEveryThreadCount) {
+  expect_edges_honored(staircase(5, 4), {1, 2, 8});
+}
+
+TEST(TaskDag, HonorsEveryEdgeOfWideNodes) {
+  // Layers of 4 nodes; every node depends on all 4 nodes of the layer
+  // before, so each non-root node has 4 predecessors.
+  const int width = 4, layers = 6;
+  tu::TaskDag dag(width * layers);
+  for (int l = 1; l < layers; ++l) {
+    for (int i = 0; i < width; ++i) {
+      for (int p = 0; p < width; ++p) {
+        dag.add_edge((l - 1) * width + p, l * width + i);
+      }
+    }
+  }
+  EXPECT_EQ(dag.preds(width * layers - 1).size(), 4u);
+  expect_edges_honored(dag, {2, 8});
+}
+
+TEST(TaskDag, NestedParallelForRunsInline) {
+  const tu::TaskDag dag = staircase(3, 3);
+  std::atomic<int> foreign{0};
+  std::atomic<int> iterations{0};
+  dag.run(4, [&](int) {
+    const std::thread::id self = std::this_thread::get_id();
+    tu::parallel_for(16, 4, [&](int) {
+      if (std::this_thread::get_id() != self) foreign++;
+      iterations++;
+    });
+  });
+  EXPECT_EQ(iterations.load(), 9 * 16);
+  EXPECT_EQ(foreign.load(), 0);
 }
 
 TEST(TaskDag, SerialRunIsAscendingNodeOrder) {
