@@ -32,21 +32,20 @@
 #                preset (the default build plus -fsanitize=thread, same
 #                worker-team runtime), oversubscribed via
 #                TEMPEST_THREADS=8 so races surface on any host
-#   --analyze    build the schedule-legality verifier and the statics
-#                sweep (tools/ir_lint) and run both as blocking gates:
-#                every physics kernel — hand-written and DSL-lowered — x
-#                schedule x sparse on/off x lowering stage through the
-#                legality verifier, then the statics passes (interval
-#                abstract interpretation, von Neumann/CFL proof, IR lint,
-#                tile-interference race proof) over the same kernels and
-#                schedules; both at space orders 4 and 8 so the DSL
-#                lowering's structural summaries are exercised at more
-#                than one radius. Non-zero when any verdict contradicts
-#                the paper's legality theorem, when the statics layer
-#                reports a false positive on a known-good kernel, or when
-#                any of ir_lint's seeded-wrong fixtures (unstable dt,
-#                out-of-halo load, undershot wavefront skew) is NOT
-#                rejected
+#   --analyze    build the analysis sweep (tools/schedule_verifier) and
+#                run it as a blocking gate: every physics kernel —
+#                hand-written and DSL-lowered — x schedule x sparse on/off
+#                x lowering stage through the legality verifier, each row
+#                carrying the statics verdict (interval abstract
+#                interpretation, von Neumann/CFL proof, IR lint) and the
+#                tile-interference race proof, at space orders 4 and 8 so
+#                the DSL lowering's structural summaries are exercised at
+#                more than one radius; then its --seeded wrong-by-
+#                construction fixtures (unstable dt, out-of-halo load,
+#                undershot wavefront skew). Non-zero when any verdict
+#                contradicts the paper's legality theorem, when the statics
+#                layer reports a false positive on a known-good kernel, or
+#                when any seeded fixture is NOT rejected
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -196,17 +195,13 @@ run_tidy() {
 run_analyze() {
   echo "==> configure (default)"
   cmake --preset default >/dev/null
-  echo "==> build schedule_verifier + ir_lint"
-  cmake --build --preset default -j "$(nproc)" --target schedule_verifier \
-    --target ir_lint
-  echo "==> schedule-legality sweep (kernels x schedules x sparse x stages," \
-       "space orders 4 and 8)"
+  echo "==> build schedule_verifier"
+  cmake --build --preset default -j "$(nproc)" --target schedule_verifier
+  echo "==> analysis sweep (legality + statics + interference: kernels x" \
+       "schedules x sparse x stages, space orders 4 and 8)"
   build/tools/schedule_verifier --so=4,8
-  echo "==> statics sweep (intervals + CFL + lint + interference," \
-       "space orders 4 and 8)"
-  build/tools/ir_lint --so=4,8
-  echo "==> statics seeded fixtures (must each be rejected)"
-  build/tools/ir_lint --seeded
+  echo "==> seeded fixtures (must each be rejected)"
+  build/tools/schedule_verifier --seeded
 }
 
 if [ "${1:-}" = "--bench" ]; then

@@ -41,8 +41,7 @@ StaticsReport verify_statics(const dsl::LoweredKernel& kernel,
     Interval vp = Interval::top();
     const auto it = options.bounds.find("vp");
     if (it != options.bounds.end()) vp = it->second;
-    const double dt = options.dt > 0.0 ? options.dt : kernel.dt;
-    report.stability = check_acoustic_stability(dt, kernel.spacing,
+    report.stability = check_acoustic_stability(kernel.dt, kernel.spacing,
                                                 kernel.space_order, vp);
     if (options.allow_unstable) {
       for (Diagnostic& d : report.stability.diagnostics) {
@@ -92,6 +91,7 @@ void require_stable(const StabilityVerdict& verdict,
 
 namespace {
 
+/// Value interval of a grid's interior; top for an empty interior.
 Interval scan_interior(const grid::Grid3<real_t>& g) {
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
@@ -105,10 +105,6 @@ Interval scan_interior(const grid::Grid3<real_t>& g) {
 }
 
 }  // namespace
-
-Interval grid_interval(const grid::Grid3<real_t>& g) {
-  return scan_interior(g);
-}
 
 BoundEnv model_bounds(const physics::AcousticModel& model,
                       const dsl::ParamBindings& bindings,

@@ -4,11 +4,12 @@
 // the CFL stability proof and the IR linter over a lowered kernel and
 // folds the three verdicts into a single report, mirroring how
 // analysis::verify_canonical folds the legality diagnostics. The gates —
-// dsl::Operator construction/apply and the DslPropagator / DslKernel
-// engine adapter, which also guard any compiled block attached to them —
-// all call require_static_ok(); the
-// tile-interference prover (interference.hpp) is gated separately by the
-// engine because its input is the run's tile geometry, not the kernel.
+// dsl::Operator construction and the DslPropagator / DslKernel engine
+// adapter, which also guard any compiled block attached to them — call
+// require_static_ok(); physics::Propagator construction proves an explicit
+// dt with require_stable(). The tile-interference prover
+// (interference.hpp) is gated separately by the engine because its input
+// is the run's tile geometry, not the kernel.
 //
 // StaticVerificationError derives from util::PreconditionError, so the
 // jobs layer classifies a statically rejected spec as a *permanent*
@@ -35,8 +36,6 @@ struct StaticsOptions {
   std::vector<std::string> resolvable;
   /// Halo radius the execution layer allocates; -1 = the kernel's own.
   int declared_radius = -1;
-  /// Timestep to prove stable; 0 uses the kernel's lowering dt.
-  double dt = 0.0;
   /// Skip the stability pass (callers without a meaningful dt/spacing).
   bool check_stability = true;
   /// Demote stability errors to notes (OperatorOptions::allow_unstable:
@@ -76,19 +75,17 @@ void require_static_ok(const StaticsReport& report);
 
 /// Throw StaticVerificationError (with a stability-only report) unless the
 /// verdict is stable. The gates that have a dt but no lowered kernel tree
-/// — the hand-written-class Operator::apply overloads — use this.
+/// — physics::Propagator construction and the Operator constructor's
+/// so=2 floor — use this.
 void require_stable(const StabilityVerdict& verdict,
                     const std::string& kernel);
 
-/// Value interval of a grid's *interior* (the halos are zero-initialised
-/// storage, not data — including them would poison every positive lower
-/// bound). Top for an empty interior.
-[[nodiscard]] Interval grid_interval(const grid::Grid3<real_t>& g);
-
 /// Bounds derived from a concrete acoustic model: vp/m/damp scanned over
-/// the grid interiors, user bindings scanned likewise, and the wavefield
-/// seeded from the source amplitude. This is what the apply()-time and
-/// DslPropagator-construction gates use — the sharpest bounds available.
+/// the grid interiors (the halos are zero-initialised storage, not data —
+/// including them would poison every positive lower bound), user bindings
+/// scanned likewise, and the wavefield seeded from the source amplitude.
+/// This is what the DslPropagator-construction gate uses — the sharpest
+/// bounds available.
 [[nodiscard]] BoundEnv model_bounds(const physics::AcousticModel& model,
                                     const dsl::ParamBindings& bindings,
                                     const std::string& field = "u",

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,7 +37,6 @@
 #include "tempest/grid/grid3.hpp"
 #include "tempest/obs/metrics.hpp"
 #include "tempest/obs/recorder.hpp"
-#include "tempest/resilience/checkpoint.hpp"
 #include "tempest/resilience/fault.hpp"
 #include "tempest/resilience/health.hpp"
 #include "tempest/sparse/interp.hpp"
@@ -125,22 +123,9 @@ struct ExecutionOptions {
   /// boundaries — the only instants a whole timestep exists under blocking.
   resilience::HealthPolicy health{};
 
-  /// Run the analysis:: schedule-legality verifier before every temporally
-  /// blocked execution (see analysis/legality.hpp): the canonical fused
-  /// nest the executor implements, checked against the kernel's *declared*
-  /// access summary and the engine's actual skew slope. Catches a kernel
-  /// whose declared dependency radius outruns the wave-front skew before a
-  /// single wrong cell is computed. Costs microseconds per run. Also gates
-  /// the statics tile-interference prover: before a temporally blocked run
-  /// starts, every unordered task pair of every band of the plan it is
-  /// about to execute is proven to have disjoint write/write and
-  /// write/read footprints (the race-freedom the TSan lane observes
-  /// dynamically, as a pre-run theorem).
-  bool verify_schedule = true;
-
-  /// Let a spec whose dt exceeds the static von Neumann bound through the
-  /// stability gates (deliberate divergence experiments). Every other
-  /// statics check still runs.
+  /// Let an explicit dt beyond the model's hard von Neumann bound through
+  /// the propagator's stability gate (deliberate divergence experiments;
+  /// see physics::Propagator). Every other statics check still runs.
   bool allow_unstable = false;
 };
 
@@ -321,8 +306,7 @@ class ScheduleExecutor {
       // The legality gate verifies that nest's dependence distances against
       // the kernel's *declared* access shape (a kernel whose real dependency
       // reach exceeded the skew would silently read stale halo cells; here
-      // it throws instead — unless verify_schedule was explicitly
-      // disabled). The plan is built once, in substep units (slope =
+      // it throws instead). The plan is built once, in substep units (slope =
       // radius, band height = S * tile_t), proven race-free by the statics
       // prover — including the circular-buffer slot aliasing and the fused
       // receiver gather's in-rect read — and then run as is.
@@ -340,18 +324,16 @@ class ScheduleExecutor {
               ? analysis::ScheduleDescriptor::wavefront(radius, S * tile_t)
               : analysis::ScheduleDescriptor::diamond(radius, S * tile_t),
           e, opts_.tiles, S * t_begin, S * nt);
-      if (opts_.verify_schedule) {
-        analysis::require_legal(analysis::verify_canonical(
-            summary, /*stage=*/2, /*sources=*/true, /*receivers=*/has_rec,
-            wavefront
-                ? analysis::ScheduleDescriptor::wavefront(S * radius, tile_t)
-                : analysis::ScheduleDescriptor::diamond(S * radius, tile_t)));
-        // Footprint in substep units: each substep reaches `radius`.
-        analysis::statics::require_race_free(analysis::statics::prove_race_free(
-            plan, {.radius = radius,
-                   .time_reads = summary.time_reads,
-                   .receivers = has_rec}));
-      }
+      analysis::require_legal(analysis::verify_canonical(
+          summary, /*stage=*/2, /*sources=*/true, /*receivers=*/has_rec,
+          wavefront
+              ? analysis::ScheduleDescriptor::wavefront(S * radius, tile_t)
+              : analysis::ScheduleDescriptor::diamond(S * radius, tile_t)));
+      // Footprint in substep units: each substep reaches `radius`.
+      analysis::statics::require_race_free(analysis::statics::prove_race_free(
+          plan, {.radius = radius,
+                 .time_reads = summary.time_reads,
+                 .receivers = has_rec}));
       util::Timer pre;
       const core::SourceMasks masks =
           core::build_source_masks(e, src, opts_.interp);
@@ -522,54 +504,5 @@ class ScheduleExecutor {
   Kernel& k_;
   const ExecutionOptions& opts_;
 };
-
-/// Snapshot the propagation state after timestep `step` completed. The
-/// slice list is the kernel's state in a fixed order (the same order
-/// restore_state expects); the checkpoint carries copies of the slices, the
-/// gather recorded so far (when `rec` is non-null) and the caller's config
-/// fingerprint. `capture()`'s step is the next `run_from()`'s `t_begin`.
-[[nodiscard]] inline resilience::Checkpoint capture_state(
-    const std::vector<const grid::Grid3<real_t>*>& slices, int step,
-    int first_step, std::uint64_t fingerprint,
-    const sparse::SparseTimeSeries* rec) {
-  TEMPEST_REQUIRE(step >= first_step);
-  resilience::Checkpoint ck;
-  ck.fingerprint = fingerprint;
-  ck.step = step;
-  ck.slots.reserve(slices.size());
-  for (const auto* slice : slices) ck.slots.push_back(*slice);
-  if (rec != nullptr) {
-    ck.has_rec = true;
-    ck.rec = *rec;
-  }
-  return ck;
-}
-
-/// Seed the kernel's state slices from a checkpoint. Throws
-/// resilience::CheckpointMismatchError when the checkpoint's slice count or
-/// grid geometry does not match.
-inline void restore_state(const std::vector<grid::Grid3<real_t>*>& slices,
-                          const resilience::Checkpoint& ck) {
-  TEMPEST_REQUIRE(!slices.empty());
-  const grid::Extents3& e = slices.front()->extents();
-  const int halo = slices.front()->halo();
-  if (ck.slots.size() != slices.size() || ck.slots.empty() ||
-      ck.slots.front().extents() != e || ck.slots.front().halo() != halo) {
-    std::ostringstream os;
-    os << "checkpoint does not fit this propagator: it holds "
-       << ck.slots.size() << " slices";
-    if (!ck.slots.empty()) {
-      const auto& ce = ck.slots.front().extents();
-      os << " of " << ce.nx << "x" << ce.ny << "x" << ce.nz << " (halo "
-         << ck.slots.front().halo() << ")";
-    }
-    os << ", this run needs " << slices.size() << " of " << e.nx << "x"
-       << e.ny << "x" << e.nz << " (halo " << halo << ")";
-    throw resilience::CheckpointMismatchError(os.str());
-  }
-  for (std::size_t i = 0; i < slices.size(); ++i) {
-    *slices[i] = ck.slots[i];
-  }
-}
 
 }  // namespace tempest::core::engine

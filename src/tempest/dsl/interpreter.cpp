@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "tempest/dsl/kernel.hpp"
 #include "tempest/grid/time_buffer.hpp"
 #include "tempest/sparse/operators.hpp"
 #include "tempest/stencil/apply.hpp"
@@ -140,65 +139,6 @@ grid::Grid3<real_t> Interpreter::run(const sparse::SparseTimeSeries& src,
   }
   // Return a copy of the final wavefield.
   return u.at(nt);
-}
-
-namespace {
-
-/// real_t walk of a typed update tree — the same arithmetic the DslKernel
-/// tape performs, expressed recursively.
-real_t eval_typed(const ir::Expr& e, const grid::TimeBuffer<real_t>& u,
-                  const std::vector<const grid::Grid3<real_t>*>& prm,
-                  const std::vector<std::string>& names, int t, int x, int y,
-                  int z, const LoadObserver& observer) {
-  switch (e.kind) {
-    case ir::Expr::Kind::Const:
-      return static_cast<real_t>(e.value);
-    case ir::Expr::Kind::Load: {
-      if (observer) observer(e.name, e.dt, e.dx, e.dy, e.dz);
-      return u.at(t + e.dt)(x + e.dx, y + e.dy, z + e.dz);
-    }
-    case ir::Expr::Kind::Param: {
-      for (std::size_t i = 0; i < names.size(); ++i) {
-        if (names[i] == e.name) return (*prm[i])(x, y, z);
-      }
-      TEMPEST_REQUIRE_MSG(false, "unknown parameter: " + e.name);
-      return real_t{0};
-    }
-    case ir::Expr::Kind::Binary: {
-      const real_t l =
-          eval_typed(*e.a, u, prm, names, t, x, y, z, observer);
-      const real_t r =
-          eval_typed(*e.b, u, prm, names, t, x, y, z, observer);
-      switch (e.op) {
-        case '+': return l + r;
-        case '-': return l - r;
-        case '*': return l * r;
-        case '/': return l / r;
-        default: break;
-      }
-      TEMPEST_REQUIRE_MSG(false, "unknown operator in typed update tree");
-      return real_t{0};
-    }
-  }
-  return real_t{0};
-}
-
-}  // namespace
-
-TypedInterpreter::TypedInterpreter(const LoweredKernel& lowered,
-                                   const physics::AcousticModel& model,
-                                   ParamBindings bindings)
-    : lowered_(lowered), model_(model), bindings_(std::move(bindings)) {
-  TEMPEST_REQUIRE_MSG(lowered.update != nullptr,
-                      "typed interpreter needs a lowered update tree");
-}
-
-real_t TypedInterpreter::eval_at(const grid::TimeBuffer<real_t>& u, int t,
-                                 int x, int y, int z,
-                                 const LoadObserver& observer) const {
-  const auto prm = resolve_params(lowered_, model_, bindings_);
-  return eval_typed(*lowered_.update, u, prm, lowered_.params, t, x, y, z,
-                    observer);
 }
 
 }  // namespace tempest::dsl

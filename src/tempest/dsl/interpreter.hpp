@@ -1,12 +1,8 @@
 #pragma once
 
-#include <functional>
-
 #include "tempest/config.hpp"
 #include "tempest/dsl/expr.hpp"
-#include "tempest/dsl/lower.hpp"
 #include "tempest/grid/grid3.hpp"
-#include "tempest/grid/time_buffer.hpp"
 #include "tempest/physics/model.hpp"
 #include "tempest/sparse/interp.hpp"
 #include "tempest/sparse/series.hpp"
@@ -43,39 +39,6 @@ class Interpreter {
   const physics::AcousticModel& model_;
   double dt_;
   std::string field_name_;
-};
-
-/// Callback invoked for every grid load the typed evaluator performs:
-/// (field, dt, dx, dy, dz). Lets tests observe the *dynamic* access
-/// footprint of an update tree and compare it against the structural one
-/// the lowering declared.
-using LoadObserver =
-    std::function<void(const std::string& field, int dt, int dx, int dy,
-                       int dz)>;
-
-/// Tree-walking evaluator for *typed IR* update trees (dsl::lower output) —
-/// the second interpreter path of the frontend. Unlike Interpreter, which
-/// walks the symbolic equation in double and re-discretises derivatives on
-/// the fly, this one evaluates the already-discretised ir::Expr in real_t
-/// with the exact operand association the lowering emitted, so its results
-/// are bit-identical to the DslKernel tape and to JIT-compiled DSL kernels.
-/// Used as the cross-check oracle for both.
-class TypedInterpreter {
- public:
-  TypedInterpreter(const LoweredKernel& lowered,
-                   const physics::AcousticModel& model,
-                   ParamBindings bindings = {});
-
-  /// Evaluate the update at one interior point. `observer`, when set, is
-  /// called for every Load the walk performs.
-  [[nodiscard]] real_t eval_at(const grid::TimeBuffer<real_t>& u, int t,
-                               int x, int y, int z,
-                               const LoadObserver& observer = {}) const;
-
- private:
-  const LoweredKernel& lowered_;
-  const physics::AcousticModel& model_;
-  ParamBindings bindings_;
 };
 
 }  // namespace tempest::dsl

@@ -93,6 +93,7 @@ int DslKernel::flatten(const ir::Expr& e) {
       op.slot = e.dt == 0 ? 0 : 1;
       op.off = e.dx * sx_ + e.dy * sy_ + e.dz;
       tape_.push_back(op);
+      loads_.push_back({e.dt, e.dx, e.dy, e.dz});
       return 1;
     }
     case ir::Expr::Kind::Param: {
@@ -232,49 +233,32 @@ void DslKernel::apply_tape(int t, const grid::Box3& b) {
 DslPropagator::DslPropagator(const Eq& eq, const physics::AcousticModel& model,
                              physics::PropagatorOptions opts,
                              ParamBindings bindings, std::string name)
-    : model_(model),
-      opts_(opts),
-      dt_(opts.dt > 0.0 ? opts.dt : model.critical_dt()),
+    : Propagator(model, opts, name, DslKernel::kFirstStep),
+      model_(model),
       lowered_(lower_kernel(eq, model.geom.space_order, model.geom.spacing,
-                            dt_, std::move(name))),
+                            dt(), std::move(name))),
       bindings_(std::move(bindings)),
       u_(3, model.geom.extents, model.geom.radius()) {
-  TEMPEST_REQUIRE(model.geom.space_order >= 2 &&
-                  model.geom.space_order % 2 == 0);
-  TEMPEST_REQUIRE(opts_.tiles.valid());
-  TEMPEST_REQUIRE_MSG(model.vp.halo() == model.geom.radius(),
-                      "model fields must carry halo == stencil radius");
-
-  // Full statics verdict over the freshly lowered kernel, with the
-  // sharpest bounds available: value intervals scanned from the concrete
-  // model (and user-bound) grids, the von Neumann proof at the real space
-  // order and resolved dt, and the IR lint against the model's halo. A
-  // failing spec never reaches the engine.
+  add_state(u_);
+  // The statics verdict over the freshly lowered kernel, with the sharpest
+  // bounds available: value intervals scanned from the concrete model (and
+  // user-bound) grids, and the IR lint against the model's halo. The
+  // stability proof is the base constructor's. A failing spec never
+  // reaches the engine.
   namespace statics = analysis::statics;
   statics::StaticsOptions sopts;
   sopts.bounds = statics::model_bounds(model, bindings_, lowered_.field);
   sopts.resolvable = statics::resolvable_names(bindings_);
   sopts.declared_radius = model.geom.radius();
-  sopts.dt = dt_;
-  sopts.allow_unstable = opts_.allow_unstable;
+  sopts.check_stability = false;
   statics::require_static_ok(statics::verify_statics(lowered_, sopts));
 }
 
-physics::RunStats DslPropagator::run(physics::Schedule sched,
-                                     const sparse::SparseTimeSeries& src,
-                                     sparse::SparseTimeSeries* rec,
-                                     const StepCallback& on_step) {
-  if (rec != nullptr) rec->zero();
-  u_.fill(real_t{0});
-  return run_from(DslKernel::kFirstStep, sched, src, rec, on_step);
-}
-
-physics::RunStats DslPropagator::run_from(int t_begin, physics::Schedule sched,
-                                          const sparse::SparseTimeSeries& src,
-                                          sparse::SparseTimeSeries* rec,
-                                          const StepCallback& on_step) {
-  DslKernel kernel(lowered_, model_, bindings_, u_, dt_, block_);
-  core::engine::ScheduleExecutor executor(kernel, opts_);
+physics::RunStats DslPropagator::run_kernel(
+    int t_begin, physics::Schedule sched, const sparse::SparseTimeSeries& src,
+    sparse::SparseTimeSeries* rec, const physics::StepCallback& on_step) {
+  DslKernel kernel(lowered_, model_, bindings_, u_, dt(), block_);
+  core::engine::ScheduleExecutor executor(kernel, options());
   return executor.run_from(t_begin, sched, src, rec, on_step);
 }
 
@@ -291,23 +275,6 @@ void DslPropagator::attach_block(BlockFn* block) {
     }
   }
   block_ = block;
-}
-
-resilience::Checkpoint DslPropagator::capture(
-    int step, std::uint64_t fingerprint,
-    const sparse::SparseTimeSeries* rec) const {
-  std::vector<const grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(u_.slots()));
-  for (int s = 0; s < u_.slots(); ++s) slices.push_back(&u_.slot(s));
-  return core::engine::capture_state(slices, step, DslKernel::kFirstStep,
-                                     fingerprint, rec);
-}
-
-void DslPropagator::restore(const resilience::Checkpoint& ck) {
-  std::vector<grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(u_.slots()));
-  for (int s = 0; s < u_.slots(); ++s) slices.push_back(&u_.slot(s));
-  core::engine::restore_state(slices, ck);
 }
 
 }  // namespace tempest::dsl

@@ -3,8 +3,8 @@
 // The engine adapter for DSL-authored physics: a PhysicsKernel whose
 // per-block update evaluates the lowered expression tree (dsl::lower) in
 // real_t via a compiled postorder tape — or, when one is attached, calls the
-// same tree compiled to C (codegen::CompiledBlock) — plus a propagator
-// wrapper mirroring physics::AcousticPropagator. DSL-authored equations
+// same tree compiled to C (codegen::CompiledBlock) — plus a propagator on
+// the physics::Propagator base every physics shares. DSL-authored equations
 // thereby run under every schedule — reference, space-blocked, wavefront,
 // fused, diamond — with trace, health monitoring, checkpointing, task
 // parallelism and the autotuner unchanged, and (because the tape preserves
@@ -25,7 +25,6 @@
 #include "tempest/grid/time_buffer.hpp"
 #include "tempest/physics/model.hpp"
 #include "tempest/physics/propagator.hpp"
-#include "tempest/resilience/checkpoint.hpp"
 #include "tempest/sparse/series.hpp"
 
 namespace tempest::dsl {
@@ -49,8 +48,8 @@ static_assert(std::is_same_v<real_t, float>,
 /// Resolve a lowering's parameter names to coefficient grids: user bindings
 /// win, then the model's own fields by conventional name ("m", "damp",
 /// "vp"). Throws for names neither source provides. Shared by the engine
-/// adapter, the typed interpreter and the block attach check so every
-/// execution path binds identically.
+/// adapter and the block attach check so both execution paths bind
+/// identically.
 [[nodiscard]] std::vector<const grid::Grid3<real_t>*> resolve_params(
     const LoweredKernel& lowered, const physics::AcousticModel& model,
     const ParamBindings& bindings);
@@ -77,6 +76,16 @@ class DslKernel {
   }
 
   void apply(int t, const grid::Box3& box);
+
+  /// One grid load of the tape: time slice offset (0 = t, -1 = t-1) and
+  /// spatial offset from the update point.
+  struct Load {
+    int dt, dx, dy, dz;
+  };
+  /// Every load the tape performs per point, in tape order: the dynamic
+  /// footprint of the evaluator that actually runs, for comparison against
+  /// the structural hulls the lowering declared.
+  [[nodiscard]] const std::vector<Load>& loads() const { return loads_; }
 
   [[nodiscard]] real_t inject_scale(int x, int y, int z) const {
     return dt2_ / model_.m(x, y, z);
@@ -126,38 +135,22 @@ class DslKernel {
   BlockFn* block_;
   real_t dt2_;
   std::ptrdiff_t sx_, sy_;
+  std::vector<Load> loads_;
 };
 
 static_assert(core::engine::PhysicsKernel<DslKernel>);
 
 /// Propagator over a DSL-authored equation: lowers the Eq at construction
-/// (space order / spacing from the model's geometry, dt resolved as every
-/// propagator resolves it) and mirrors AcousticPropagator's run / resume /
-/// checkpoint surface, so DSL kernels slot into surveys, RTM and the bench
-/// drivers unchanged.
-class DslPropagator {
+/// (space order / spacing from the model's geometry, dt resolved and
+/// stability-gated by physics::Propagator) and shares every propagator's
+/// run / resume / checkpoint surface, so DSL kernels slot into surveys, RTM
+/// and the bench drivers unchanged. `name` is the kernel's name and the
+/// family its diagnostics carry.
+class DslPropagator final : public physics::Propagator {
  public:
-  using StepCallback = physics::StepCallback;
-
   DslPropagator(const Eq& eq, const physics::AcousticModel& model,
                 physics::PropagatorOptions opts = {},
                 ParamBindings bindings = {}, std::string name = "dsl");
-
-  physics::RunStats run(physics::Schedule sched,
-                        const sparse::SparseTimeSeries& src,
-                        sparse::SparseTimeSeries* rec = nullptr,
-                        const StepCallback& on_step = {});
-
-  physics::RunStats run_from(int t_begin, physics::Schedule sched,
-                             const sparse::SparseTimeSeries& src,
-                             sparse::SparseTimeSeries* rec = nullptr,
-                             const StepCallback& on_step = {});
-
-  [[nodiscard]] resilience::Checkpoint capture(
-      int step, std::uint64_t fingerprint,
-      const sparse::SparseTimeSeries* rec = nullptr) const;
-
-  void restore(const resilience::Checkpoint& ck);
 
   /// Run every block through `block` — the compiled update of lowered()
   /// (codegen::CompiledBlock) — instead of the tape; nullptr restores the
@@ -170,17 +163,15 @@ class DslPropagator {
     return u_.at(t);
   }
 
-  [[nodiscard]] double dt() const { return dt_; }
   [[nodiscard]] const LoweredKernel& lowered() const { return lowered_; }
-  [[nodiscard]] const physics::AcousticModel& model() const { return model_; }
-  [[nodiscard]] const physics::PropagatorOptions& options() const {
-    return opts_;
-  }
 
  private:
+  physics::RunStats run_kernel(int t_begin, physics::Schedule sched,
+                               const sparse::SparseTimeSeries& src,
+                               sparse::SparseTimeSeries* rec,
+                               const physics::StepCallback& on_step) override;
+
   const physics::AcousticModel& model_;
-  physics::PropagatorOptions opts_;
-  double dt_;
   LoweredKernel lowered_;
   ParamBindings bindings_;
   grid::TimeBuffer<real_t> u_;

@@ -6,8 +6,6 @@
 #include "tempest/analysis/statics/verify.hpp"
 #include "tempest/dsl/kernel.hpp"
 #include "tempest/dsl/passes.hpp"
-#include "tempest/grid/grid3.hpp"
-#include "tempest/stencil/cfl.hpp"
 #include "tempest/util/error.hpp"
 
 namespace tempest::dsl {
@@ -216,32 +214,27 @@ std::string Operator::ccode() const {
   return ccode_stage(stage);
 }
 
-physics::RunStats Operator::apply(const physics::AcousticModel& model,
-                                  const sparse::SparseTimeSeries& src,
-                                  sparse::SparseTimeSeries* rec) const {
-  TEMPEST_REQUIRE_MSG(
-      class_ == KernelClass::IsoAcoustic || class_ == KernelClass::Generic,
-      "equations are not a scalar wavefield update");
+// The propagator then proves an explicit dt against its model's hard bound
+// at construction: the sharp re-check of the constructor's so=2 floor.
+physics::PropagatorOptions Operator::prepare(int space_order) const {
   if (schedule_descriptor().time_tiled()) {
-    analysis::require_legal(verify_stage(2, model.geom.space_order));
-  }
-  // Sharp stability re-check against the concrete model: real space order,
-  // velocity interval scanned from the grid interior. The construction-time
-  // check used the loosest (so=2) bound; this one is exact.
-  namespace statics = analysis::statics;
-  if (!options_.allow_unstable) {
-    const double dt = options_.dt > 0.0 ? options_.dt : model.critical_dt();
-    statics::require_stable(
-        statics::check_acoustic_stability(dt, model.geom.spacing,
-                                          model.geom.space_order,
-                                          statics::grid_interval(model.vp)),
-        to_string(class_));
+    analysis::require_legal(verify_stage(2, space_order));
   }
   physics::PropagatorOptions popts;
   popts.tiles = options_.tiles;
   popts.interp = options_.interp;
   popts.dt = options_.dt;
   popts.allow_unstable = options_.allow_unstable;
+  return popts;
+}
+
+physics::RunStats Operator::apply(const physics::AcousticModel& model,
+                                  const sparse::SparseTimeSeries& src,
+                                  sparse::SparseTimeSeries* rec) const {
+  TEMPEST_REQUIRE_MSG(
+      class_ == KernelClass::IsoAcoustic || class_ == KernelClass::Generic,
+      "equations are not a scalar wavefield update");
+  const physics::PropagatorOptions popts = prepare(model.geom.space_order);
   if (class_ == KernelClass::Generic) {
     DslPropagator prop(updates_.front(), model, popts, options_.bindings,
                        "generic");
@@ -256,30 +249,7 @@ physics::RunStats Operator::apply(const physics::TTIModel& model,
                                   sparse::SparseTimeSeries* rec) const {
   TEMPEST_REQUIRE_MSG(class_ == KernelClass::TTI,
                       "equations are not the TTI coupled system");
-  if (schedule_descriptor().time_tiled()) {
-    analysis::require_legal(verify_stage(2, model.geom.space_order));
-  }
-  // The TTI hard bound is the acoustic one derated by the anisotropy
-  // factor sqrt(1 + 2 max(eps, delta)) — scanned from the Thomsen grids.
-  namespace statics = analysis::statics;
-  if (!options_.allow_unstable) {
-    const double dt = options_.dt > 0.0 ? options_.dt : model.critical_dt();
-    const double vmax = model.vp_max();
-    const double bound = stencil::tti_dt(
-        model.geom.spacing, vmax, model.geom.space_order,
-        grid::max_abs(model.epsilon), grid::max_abs(model.delta),
-        /*safety=*/1.0);
-    statics::require_stable(
-        statics::check_bound(dt, bound, vmax, model.geom.spacing,
-                             model.geom.space_order, "tti"),
-        to_string(class_));
-  }
-  physics::PropagatorOptions popts;
-  popts.tiles = options_.tiles;
-  popts.interp = options_.interp;
-  popts.dt = options_.dt;
-  popts.allow_unstable = options_.allow_unstable;
-  physics::TTIPropagator prop(model, popts);
+  physics::TTIPropagator prop(model, prepare(model.geom.space_order));
   return prop.run(options_.schedule, src, rec);
 }
 
@@ -288,28 +258,7 @@ physics::RunStats Operator::apply(const physics::ElasticModel& model,
                                   sparse::SparseTimeSeries* rec) const {
   TEMPEST_REQUIRE_MSG(class_ == KernelClass::Elastic,
                       "equations are not the elastic velocity-stress system");
-  if (schedule_descriptor().time_tiled()) {
-    analysis::require_legal(verify_stage(2, model.geom.space_order));
-  }
-  // First-order velocity–stress bound from the staggered first-derivative
-  // weights (stencil::elastic_dt at safety 1 = the hard limit).
-  namespace statics = analysis::statics;
-  if (!options_.allow_unstable) {
-    const double dt = options_.dt > 0.0 ? options_.dt : model.critical_dt();
-    const double vmax = model.vp_max();
-    const double bound = stencil::elastic_dt(
-        model.geom.spacing, vmax, model.geom.space_order, /*safety=*/1.0);
-    statics::require_stable(
-        statics::check_bound(dt, bound, vmax, model.geom.spacing,
-                             model.geom.space_order, "elastic"),
-        to_string(class_));
-  }
-  physics::PropagatorOptions popts;
-  popts.tiles = options_.tiles;
-  popts.interp = options_.interp;
-  popts.dt = options_.dt;
-  popts.allow_unstable = options_.allow_unstable;
-  physics::ElasticPropagator prop(model, popts);
+  physics::ElasticPropagator prop(model, prepare(model.geom.space_order));
   return prop.run(options_.schedule, src, rec);
 }
 

@@ -101,7 +101,9 @@ class Operator {
       int stage, int space_order = 2) const;
 
   /// Execute against concrete data. The model type must match the
-  /// recognised kernel class.
+  /// recognised kernel class. Re-proves the schedule legal at the model's
+  /// space order; the propagator proves an explicit dt stable against the
+  /// concrete model.
   physics::RunStats apply(const physics::AcousticModel& model,
                           const sparse::SparseTimeSeries& src,
                           sparse::SparseTimeSeries* rec = nullptr) const;
@@ -114,6 +116,8 @@ class Operator {
 
  private:
   [[nodiscard]] ir::Node lower(int stage) const;
+  /// Legality at the model's space order, then the propagator options.
+  [[nodiscard]] physics::PropagatorOptions prepare(int space_order) const;
 
   std::vector<Eq> updates_;
   std::vector<SparseTimeFunction::Injection> injections_;

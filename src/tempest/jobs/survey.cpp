@@ -138,8 +138,7 @@ void retain_or_recycle_blackbox(const SurveySpec& spec, const Attempt& a,
 
 /// The propagation half of one attempt: checkpoint resume (barrier rungs),
 /// the watched run, and the atomic gather commit.
-template <typename Propagator>
-AttemptResult propagate_shot(Propagator& prop, const SurveySpec& spec,
+AttemptResult propagate_shot(physics::Propagator& prop, const SurveySpec& spec,
                              const SurveyRung& rung, const Attempt& a,
                              std::uint64_t base_fp,
                              const sparse::SparseTimeSeries& src,
@@ -236,9 +235,9 @@ AttemptResult propagate_shot(Propagator& prop, const SurveySpec& spec,
   return res;
 }
 
-/// One attempt of one shot, generic over the uniform propagator surface
-/// (run/run_from/capture/restore). Throws on failure; the Runner's
-/// classify() decides retry vs degrade vs quarantine.
+/// One attempt of one shot: builds the rung's propagator over `model` and
+/// hands it to propagate_shot as a physics::Propagator. Throws on failure;
+/// the Runner's classify() decides retry vs degrade vs quarantine.
 template <typename Propagator, typename Model>
 AttemptResult run_shot(const Model& model, const SurveySpec& spec,
                        const std::vector<SurveyRung>& ladder,

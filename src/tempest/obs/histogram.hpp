@@ -25,7 +25,10 @@ namespace tempest::obs {
 ///     kSubCount = 8 equal linear sub-buckets, so the relative width of any
 ///     bucket is at most 2^-3 = 12.5%.
 /// Values are non-negative int64 (negative records clamp to 0); the metrics
-/// registry stores nanoseconds, but the structure is unit-agnostic.
+/// registry stores nanoseconds, but the structure is unit-agnostic. The top
+/// bucket ends at INT64_MAX. sum() saturates at INT64_MAX instead of
+/// wrapping; every addend is non-negative, so a saturated sum is still
+/// independent of record and merge order.
 ///
 /// Quantile rule (the one jobs::report documents and pins in tests):
 /// quantile(q) returns the *inclusive upper bound* of the first bucket whose
@@ -63,7 +66,8 @@ class Histogram {
   [[nodiscard]] static constexpr std::int64_t bucket_upper(int index) noexcept {
     if (index < 2 * kSubCount) return index;
     const int scale = (index >> kSubBits) - 1;
-    return bucket_lower(index) + (std::int64_t{1} << scale) - 1;
+    // Width - 1 first: the top bucket's lower + width is 2^63.
+    return bucket_lower(index) + ((std::int64_t{1} << scale) - 1);
   }
 
   constexpr void record(std::int64_t v) noexcept { record_n(v, 1); }
@@ -73,7 +77,8 @@ class Histogram {
     if (v < 0) v = 0;
     buckets_[static_cast<std::size_t>(bucket_index(v))] += n;
     count_ += n;
-    sum_ += v * static_cast<std::int64_t>(n);
+    std::int64_t add = 0;
+    sum_ = __builtin_mul_overflow(v, n, &add) ? kSumMax : saturating_add(add);
     min_ = std::min(min_, v);
     max_ = std::max(max_, v);
   }
@@ -86,7 +91,7 @@ class Histogram {
           other.buckets_[static_cast<std::size_t>(i)];
     }
     count_ += other.count_;
-    sum_ += other.sum_;
+    sum_ = saturating_add(other.sum_);
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
   }
@@ -123,6 +128,15 @@ class Histogram {
   [[nodiscard]] bool operator==(const Histogram&) const = default;
 
  private:
+  static constexpr std::int64_t kSumMax =
+      std::numeric_limits<std::int64_t>::max();
+
+  /// sum_ + v, clamped at kSumMax (both non-negative).
+  [[nodiscard]] constexpr std::int64_t saturating_add(
+      std::int64_t v) const noexcept {
+    return v > kSumMax - sum_ ? kSumMax : sum_ + v;
+  }
+
   std::array<std::uint64_t, kNumBuckets> buckets_{};
   std::uint64_t count_ = 0;
   std::int64_t sum_ = 0;

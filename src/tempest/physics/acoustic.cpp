@@ -188,50 +188,19 @@ static_assert(core::engine::PhysicsKernel<AcousticKernel>);
 
 AcousticPropagator::AcousticPropagator(const AcousticModel& model,
                                        PropagatorOptions opts)
-    : model_(model),
-      opts_(opts),
-      dt_(opts.dt > 0.0 ? opts.dt : model.critical_dt()),
+    : Propagator(model, opts, "acoustic", AcousticKernel::kFirstStep),
+      model_(model),
       u_(3, model.geom.extents, model.geom.radius()) {
-  TEMPEST_REQUIRE(model.geom.space_order >= 2 &&
-                  model.geom.space_order % 2 == 0);
-  TEMPEST_REQUIRE(opts_.tiles.valid());
-  TEMPEST_REQUIRE_MSG(model.vp.halo() == model.geom.radius(),
-                      "model fields must carry halo == stencil radius");
+  add_state(u_);
 }
 
-RunStats AcousticPropagator::run(Schedule sched,
-                                 const sparse::SparseTimeSeries& src,
-                                 sparse::SparseTimeSeries* rec,
-                                 const StepCallback& on_step) {
-  if (rec != nullptr) rec->zero();
-  u_.fill(real_t{0});
-  return run_from(AcousticKernel::kFirstStep, sched, src, rec, on_step);
-}
-
-RunStats AcousticPropagator::run_from(int t_begin, Schedule sched,
-                                      const sparse::SparseTimeSeries& src,
-                                      sparse::SparseTimeSeries* rec,
-                                      const StepCallback& on_step) {
-  AcousticKernel kernel(model_, u_, dt_);
-  core::engine::ScheduleExecutor executor(kernel, opts_);
+RunStats AcousticPropagator::run_kernel(int t_begin, Schedule sched,
+                                        const sparse::SparseTimeSeries& src,
+                                        sparse::SparseTimeSeries* rec,
+                                        const StepCallback& on_step) {
+  AcousticKernel kernel(model_, u_, dt());
+  core::engine::ScheduleExecutor executor(kernel, options());
   return executor.run_from(t_begin, sched, src, rec, on_step);
-}
-
-resilience::Checkpoint AcousticPropagator::capture(
-    int step, std::uint64_t fingerprint,
-    const sparse::SparseTimeSeries* rec) const {
-  std::vector<const grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(u_.slots()));
-  for (int s = 0; s < u_.slots(); ++s) slices.push_back(&u_.slot(s));
-  return core::engine::capture_state(slices, step, AcousticKernel::kFirstStep,
-                                     fingerprint, rec);
-}
-
-void AcousticPropagator::restore(const resilience::Checkpoint& ck) {
-  std::vector<grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(u_.slots()));
-  for (int s = 0; s < u_.slots(); ++s) slices.push_back(&u_.slot(s));
-  core::engine::restore_state(slices, ck);
 }
 
 }  // namespace tempest::physics

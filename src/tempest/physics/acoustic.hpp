@@ -1,15 +1,10 @@
 #pragma once
 
-#include <cstdint>
-#include <functional>
-
 #include "tempest/analysis/access.hpp"
 #include "tempest/config.hpp"
 #include "tempest/grid/time_buffer.hpp"
 #include "tempest/physics/model.hpp"
 #include "tempest/physics/propagator.hpp"
-#include "tempest/resilience/checkpoint.hpp"
-#include "tempest/sparse/series.hpp"
 
 namespace tempest::physics {
 
@@ -29,46 +24,9 @@ namespace tempest::physics {
 /// core/ precompute pipeline. All produce the same wavefield (bit-exact for a single
 /// source; to rounding when several sources share support points, since the
 /// decomposition pre-sums their contributions).
-class AcousticPropagator {
+class AcousticPropagator final : public Propagator {
  public:
   AcousticPropagator(const AcousticModel& model, PropagatorOptions opts = {});
-
-  /// Called after timestep `t_done` is fully computed (stencil + sparse
-  /// operators); wavefield(t_done) is then valid. Used by time-stepping
-  /// consumers such as RTM snapshotting. Only meaningful for schedules with
-  /// a global time barrier (see core::engine::StepCallback).
-  using StepCallback = physics::StepCallback;
-
-  /// Propagate `src` for src.nt() timesteps, recording into `rec` if
-  /// non-null (rec->nt() must be >= src.nt()). The model passed at
-  /// construction must outlive the propagator.
-  RunStats run(Schedule sched, const sparse::SparseTimeSeries& src,
-               sparse::SparseTimeSeries* rec = nullptr,
-               const StepCallback& on_step = {});
-
-  /// Resume a run whose timesteps < t_begin are already computed: neither
-  /// the wavefield buffer nor `rec` is zeroed, and the time loop starts at
-  /// t_begin. Seed the state with restore() from a checkpoint captured at
-  /// t_begin (capture()'s `step` is the next run_from()'s `t_begin`). A
-  /// resumed run reproduces the uninterrupted one bitwise when it uses the
-  /// same schedule and options. run() is run_from(1, ...) after zeroing.
-  RunStats run_from(int t_begin, Schedule sched,
-                    const sparse::SparseTimeSeries& src,
-                    sparse::SparseTimeSeries* rec = nullptr,
-                    const StepCallback& on_step = {});
-
-  /// Snapshot the full propagation state after timestep `step` completed
-  /// (call from a StepCallback, where a global time barrier exists). The
-  /// checkpoint carries the circular-buffer slices, the gather recorded so
-  /// far (when `rec` is non-null) and the caller's config fingerprint.
-  [[nodiscard]] resilience::Checkpoint capture(
-      int step, std::uint64_t fingerprint,
-      const sparse::SparseTimeSeries* rec = nullptr) const;
-
-  /// Seed the wavefield buffer from a checkpoint. Throws
-  /// resilience::CheckpointMismatchError when the checkpoint's slice count
-  /// or grid geometry does not match this propagator.
-  void restore(const resilience::Checkpoint& ck);
 
   /// Wavefield at logical timestep t of the last run (only the last three
   /// timesteps are live in the circular buffer).
@@ -76,14 +34,13 @@ class AcousticPropagator {
     return u_.at(t);
   }
 
-  [[nodiscard]] double dt() const { return dt_; }
-  [[nodiscard]] const AcousticModel& model() const { return model_; }
-  [[nodiscard]] const PropagatorOptions& options() const { return opts_; }
-
  private:
+  RunStats run_kernel(int t_begin, Schedule sched,
+                      const sparse::SparseTimeSeries& src,
+                      sparse::SparseTimeSeries* rec,
+                      const StepCallback& on_step) override;
+
   const AcousticModel& model_;
-  PropagatorOptions opts_;
-  double dt_;
   grid::TimeBuffer<real_t> u_;
 };
 

@@ -329,9 +329,8 @@ static_assert(core::engine::PhysicsKernel<ElasticKernel>);
 
 ElasticPropagator::ElasticPropagator(const ElasticModel& model,
                                      PropagatorOptions opts)
-    : model_(model),
-      opts_(opts),
-      dt_(opts.dt > 0.0 ? opts.dt : model.critical_dt()),
+    : Propagator(model, opts, "elastic", ElasticKernel::kFirstStep),
+      model_(model),
       vx_(model.geom.extents, model.geom.radius(), real_t{0}),
       vy_(model.geom.extents, model.geom.radius(), real_t{0}),
       vz_(model.geom.extents, model.geom.radius(), real_t{0}),
@@ -341,44 +340,17 @@ ElasticPropagator::ElasticPropagator(const ElasticModel& model,
       txy_(model.geom.extents, model.geom.radius(), real_t{0}),
       txz_(model.geom.extents, model.geom.radius(), real_t{0}),
       tyz_(model.geom.extents, model.geom.radius(), real_t{0}) {
-  TEMPEST_REQUIRE(model.geom.space_order >= 2 &&
-                  model.geom.space_order % 2 == 0);
-  TEMPEST_REQUIRE(opts_.tiles.valid());
+  add_state({&vx_, &vy_, &vz_, &txx_, &tyy_, &tzz_, &txy_, &txz_, &tyz_});
 }
 
-RunStats ElasticPropagator::run(Schedule sched,
-                                const sparse::SparseTimeSeries& src,
-                                sparse::SparseTimeSeries* rec,
-                                const StepCallback& on_step) {
-  if (rec != nullptr) rec->zero();
-  for (auto* g : {&vx_, &vy_, &vz_, &txx_, &tyy_, &tzz_, &txy_, &txz_, &tyz_})
-    g->fill(real_t{0});
-  return run_from(ElasticKernel::kFirstStep, sched, src, rec, on_step);
-}
-
-RunStats ElasticPropagator::run_from(int t_begin, Schedule sched,
-                                     const sparse::SparseTimeSeries& src,
-                                     sparse::SparseTimeSeries* rec,
-                                     const StepCallback& on_step) {
+RunStats ElasticPropagator::run_kernel(int t_begin, Schedule sched,
+                                       const sparse::SparseTimeSeries& src,
+                                       sparse::SparseTimeSeries* rec,
+                                       const StepCallback& on_step) {
   ElasticKernel kernel(model_, vx_, vy_, vz_, txx_, tyy_, tzz_, txy_, txz_,
-                       tyz_, dt_);
-  core::engine::ScheduleExecutor executor(kernel, opts_);
+                       tyz_, dt());
+  core::engine::ScheduleExecutor executor(kernel, options());
   return executor.run_from(t_begin, sched, src, rec, on_step);
-}
-
-resilience::Checkpoint ElasticPropagator::capture(
-    int step, std::uint64_t fingerprint,
-    const sparse::SparseTimeSeries* rec) const {
-  const std::vector<const grid::Grid3<real_t>*> slices = {
-      &vx_, &vy_, &vz_, &txx_, &tyy_, &tzz_, &txy_, &txz_, &tyz_};
-  return core::engine::capture_state(slices, step, ElasticKernel::kFirstStep,
-                                     fingerprint, rec);
-}
-
-void ElasticPropagator::restore(const resilience::Checkpoint& ck) {
-  const std::vector<grid::Grid3<real_t>*> slices = {
-      &vx_, &vy_, &vz_, &txx_, &tyy_, &tzz_, &txy_, &txz_, &tyz_};
-  core::engine::restore_state(slices, ck);
 }
 
 }  // namespace tempest::physics

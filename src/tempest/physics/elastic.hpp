@@ -1,14 +1,10 @@
 #pragma once
 
-#include <cstdint>
-
 #include "tempest/analysis/access.hpp"
 #include "tempest/config.hpp"
 #include "tempest/grid/grid3.hpp"
 #include "tempest/physics/model.hpp"
 #include "tempest/physics/propagator.hpp"
-#include "tempest/resilience/checkpoint.hpp"
-#include "tempest/sparse/series.hpp"
 
 namespace tempest::physics {
 
@@ -31,29 +27,11 @@ namespace tempest::physics {
 ///
 /// The source is an explosive (pressure) source injected into the diagonal
 /// stresses; receivers record the vertical particle velocity vz.
-class ElasticPropagator {
+class ElasticPropagator final : public Propagator {
  public:
+  /// First order in time, so propagation starts at t = 0. Checkpoints carry
+  /// all nine fields (vx, vy, vz, txx, tyy, tzz, txy, txz, tyz).
   ElasticPropagator(const ElasticModel& model, PropagatorOptions opts = {});
-
-  /// Uniform propagator surface (see AcousticPropagator for the contract):
-  /// all four schedules, per-step callbacks on barrier schedules, and
-  /// checkpoint/resume via run_from()/capture()/restore(). First-order in
-  /// time, so propagation starts at t = 0 and run() is run_from(0, ...).
-  RunStats run(Schedule sched, const sparse::SparseTimeSeries& src,
-               sparse::SparseTimeSeries* rec = nullptr,
-               const StepCallback& on_step = {});
-
-  RunStats run_from(int t_begin, Schedule sched,
-                    const sparse::SparseTimeSeries& src,
-                    sparse::SparseTimeSeries* rec = nullptr,
-                    const StepCallback& on_step = {});
-
-  /// Snapshot all nine fields (vx, vy, vz, txx, tyy, tzz, txy, txz, tyz).
-  [[nodiscard]] resilience::Checkpoint capture(
-      int step, std::uint64_t fingerprint,
-      const sparse::SparseTimeSeries* rec = nullptr) const;
-
-  void restore(const resilience::Checkpoint& ck);
 
   [[nodiscard]] const grid::Grid3<real_t>& vx() const { return vx_; }
   [[nodiscard]] const grid::Grid3<real_t>& vy() const { return vy_; }
@@ -64,14 +42,14 @@ class ElasticPropagator {
   [[nodiscard]] const grid::Grid3<real_t>& txy() const { return txy_; }
   [[nodiscard]] const grid::Grid3<real_t>& txz() const { return txz_; }
   [[nodiscard]] const grid::Grid3<real_t>& tyz() const { return tyz_; }
-  [[nodiscard]] double dt() const { return dt_; }
-  [[nodiscard]] const ElasticModel& model() const { return model_; }
-  [[nodiscard]] const PropagatorOptions& options() const { return opts_; }
 
  private:
+  RunStats run_kernel(int t_begin, Schedule sched,
+                      const sparse::SparseTimeSeries& src,
+                      sparse::SparseTimeSeries* rec,
+                      const StepCallback& on_step) override;
+
   const ElasticModel& model_;
-  PropagatorOptions opts_;
-  double dt_;
   grid::Grid3<real_t> vx_, vy_, vz_;
   grid::Grid3<real_t> txx_, tyy_, tzz_, txy_, txz_, tyz_;
 };

@@ -36,21 +36,24 @@ grid::Grid3<real_t> squared_slowness(const grid::Grid3<real_t>& vp, int halo) {
 
 double AcousticModel::vp_max() const { return grid::max_abs(vp); }
 
-double AcousticModel::critical_dt() const {
-  return stencil::acoustic_dt(geom.spacing, vp_max(), geom.space_order);
+double AcousticModel::critical_dt(double safety) const {
+  return stencil::acoustic_dt(geom.spacing, vp_max(), geom.space_order,
+                              safety);
 }
 
 double TTIModel::vp_max() const { return grid::max_abs(vp); }
 
-double TTIModel::critical_dt() const {
+double TTIModel::critical_dt(double safety) const {
   return stencil::tti_dt(geom.spacing, vp_max(), geom.space_order,
-                         grid::max_abs(epsilon), grid::max_abs(delta));
+                         grid::max_abs(epsilon), grid::max_abs(delta),
+                         safety);
 }
 
 double ElasticModel::vp_max() const { return grid::max_abs(vp); }
 
-double ElasticModel::critical_dt() const {
-  return stencil::elastic_dt(geom.spacing, vp_max(), geom.space_order);
+double ElasticModel::critical_dt(double safety) const {
+  return stencil::elastic_dt(geom.spacing, vp_max(), geom.space_order,
+                             safety);
 }
 
 AcousticModel make_acoustic_homogeneous(const Geometry& g, double vp_val) {

@@ -29,8 +29,9 @@ struct AcousticModel {
   grid::Grid3<real_t> damp;  ///< sponge coefficient (0 in the interior)
 
   [[nodiscard]] double vp_max() const;
-  /// CFL-stable timestep (ms).
-  [[nodiscard]] double critical_dt() const;
+  /// CFL-stable timestep (ms): the von Neumann bound derated by `safety`;
+  /// safety 1 is the hard bound itself.
+  [[nodiscard]] double critical_dt(double safety = 0.9) const;
 };
 
 /// Anisotropic (TTI) extension: Thomsen parameters and tilt/azimuth angles,
@@ -46,7 +47,7 @@ struct TTIModel {
   grid::Grid3<real_t> phi;    ///< azimuth (radians)
 
   [[nodiscard]] double vp_max() const;
-  [[nodiscard]] double critical_dt() const;
+  [[nodiscard]] double critical_dt(double safety = 0.9) const;
 };
 
 /// Isotropic elastic model: Lamé parameters and buoyancy derived from
@@ -62,7 +63,7 @@ struct ElasticModel {
   grid::Grid3<real_t> damp;
 
   [[nodiscard]] double vp_max() const;
-  [[nodiscard]] double critical_dt() const;
+  [[nodiscard]] double critical_dt(double safety = 0.9) const;
 };
 
 /// Velocity-profile builders. `layered` produces the classic

@@ -293,9 +293,8 @@ static_assert(core::engine::PhysicsKernel<TTIKernel>);
 }  // namespace
 
 TTIPropagator::TTIPropagator(const TTIModel& model, PropagatorOptions opts)
-    : model_(model),
-      opts_(opts),
-      dt_(opts.dt > 0.0 ? opts.dt : model.critical_dt()),
+    : Propagator(model, opts, "tti", TTIKernel::kFirstStep),
+      model_(model),
       p_(3, model.geom.extents, model.geom.radius()),
       q_(3, model.geom.extents, model.geom.radius()),
       cxx_(model.geom.extents, model.geom.radius(), real_t{0}),
@@ -306,9 +305,8 @@ TTIPropagator::TTIPropagator(const TTIModel& model, PropagatorOptions opts)
       cyz_(model.geom.extents, model.geom.radius(), real_t{0}),
       ah_(model.geom.extents, model.geom.radius(), real_t{1}),
       an_(model.geom.extents, model.geom.radius(), real_t{1}) {
-  TEMPEST_REQUIRE(model.geom.space_order >= 2 &&
-                  model.geom.space_order % 2 == 0);
-  TEMPEST_REQUIRE(opts_.tiles.valid());
+  add_state(p_);
+  add_state(q_);
   // Precompute the symmetry-axis dyad n n^T and the Thomsen factors once:
   // n = (sin t cos f, sin t sin f, cos t) with tilt t and azimuth f.
   cxx_.for_each_interior([&](int x, int y, int z) {
@@ -330,46 +328,17 @@ TTIPropagator::TTIPropagator(const TTIModel& model, PropagatorOptions opts)
   });
 }
 
-RunStats TTIPropagator::run(Schedule sched,
-                            const sparse::SparseTimeSeries& src,
-                            sparse::SparseTimeSeries* rec,
-                            const StepCallback& on_step) {
-  if (rec != nullptr) rec->zero();
-  p_.fill(real_t{0});
-  q_.fill(real_t{0});
-  return run_from(TTIKernel::kFirstStep, sched, src, rec, on_step);
-}
-
-RunStats TTIPropagator::run_from(int t_begin, Schedule sched,
-                                 const sparse::SparseTimeSeries& src,
-                                 sparse::SparseTimeSeries* rec,
-                                 const StepCallback& on_step) {
+RunStats TTIPropagator::run_kernel(int t_begin, Schedule sched,
+                                   const sparse::SparseTimeSeries& src,
+                                   sparse::SparseTimeSeries* rec,
+                                   const StepCallback& on_step) {
   const TTIFields f{model_.m.origin(),  model_.damp.origin(), cxx_.origin(),
                     cyy_.origin(),      czz_.origin(),        cxy_.origin(),
                     cxz_.origin(),      cyz_.origin(),        ah_.origin(),
                     an_.origin()};
-  TTIKernel kernel(model_, p_, q_, f, dt_);
-  core::engine::ScheduleExecutor executor(kernel, opts_);
+  TTIKernel kernel(model_, p_, q_, f, dt());
+  core::engine::ScheduleExecutor executor(kernel, options());
   return executor.run_from(t_begin, sched, src, rec, on_step);
-}
-
-resilience::Checkpoint TTIPropagator::capture(
-    int step, std::uint64_t fingerprint,
-    const sparse::SparseTimeSeries* rec) const {
-  std::vector<const grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(p_.slots() + q_.slots()));
-  for (int s = 0; s < p_.slots(); ++s) slices.push_back(&p_.slot(s));
-  for (int s = 0; s < q_.slots(); ++s) slices.push_back(&q_.slot(s));
-  return core::engine::capture_state(slices, step, TTIKernel::kFirstStep,
-                                     fingerprint, rec);
-}
-
-void TTIPropagator::restore(const resilience::Checkpoint& ck) {
-  std::vector<grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(p_.slots() + q_.slots()));
-  for (int s = 0; s < p_.slots(); ++s) slices.push_back(&p_.slot(s));
-  for (int s = 0; s < q_.slots(); ++s) slices.push_back(&q_.slot(s));
-  core::engine::restore_state(slices, ck);
 }
 
 }  // namespace tempest::physics

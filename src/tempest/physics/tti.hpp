@@ -1,14 +1,10 @@
 #pragma once
 
-#include <cstdint>
-
 #include "tempest/analysis/access.hpp"
 #include "tempest/config.hpp"
 #include "tempest/grid/time_buffer.hpp"
 #include "tempest/physics/model.hpp"
 #include "tempest/physics/propagator.hpp"
-#include "tempest/resilience/checkpoint.hpp"
-#include "tempest/sparse/series.hpp"
 
 namespace tempest::physics {
 
@@ -33,28 +29,10 @@ namespace tempest::physics {
 /// The source is injected into both wavefields; receivers measure p. With
 /// eps = delta = theta = phi = 0 the system reduces *exactly* to two copies
 /// of the isotropic acoustic equation (tested against AcousticPropagator).
-class TTIPropagator {
+class TTIPropagator final : public Propagator {
  public:
+  /// Checkpoints carry the p slices, then the q slices.
   TTIPropagator(const TTIModel& model, PropagatorOptions opts = {});
-
-  /// Uniform propagator surface (see AcousticPropagator for the contract):
-  /// all four schedules, per-step callbacks on barrier schedules, and
-  /// checkpoint/resume via run_from()/capture()/restore().
-  RunStats run(Schedule sched, const sparse::SparseTimeSeries& src,
-               sparse::SparseTimeSeries* rec = nullptr,
-               const StepCallback& on_step = {});
-
-  RunStats run_from(int t_begin, Schedule sched,
-                    const sparse::SparseTimeSeries& src,
-                    sparse::SparseTimeSeries* rec = nullptr,
-                    const StepCallback& on_step = {});
-
-  /// Snapshot both p and q circular buffers (p slices first, then q).
-  [[nodiscard]] resilience::Checkpoint capture(
-      int step, std::uint64_t fingerprint,
-      const sparse::SparseTimeSeries* rec = nullptr) const;
-
-  void restore(const resilience::Checkpoint& ck);
 
   [[nodiscard]] const grid::Grid3<real_t>& wavefield_p(int t) const {
     return p_.at(t);
@@ -62,14 +40,14 @@ class TTIPropagator {
   [[nodiscard]] const grid::Grid3<real_t>& wavefield_q(int t) const {
     return q_.at(t);
   }
-  [[nodiscard]] double dt() const { return dt_; }
-  [[nodiscard]] const TTIModel& model() const { return model_; }
-  [[nodiscard]] const PropagatorOptions& options() const { return opts_; }
 
  private:
+  RunStats run_kernel(int t_begin, Schedule sched,
+                      const sparse::SparseTimeSeries& src,
+                      sparse::SparseTimeSeries* rec,
+                      const StepCallback& on_step) override;
+
   const TTIModel& model_;
-  PropagatorOptions opts_;
-  double dt_;
   grid::TimeBuffer<real_t> p_;
   grid::TimeBuffer<real_t> q_;
   // Precomputed anisotropy coefficient fields (see tti.cpp): the symmetry

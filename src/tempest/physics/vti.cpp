@@ -208,14 +208,14 @@ static_assert(core::engine::PhysicsKernel<VTIKernel>);
 }  // namespace
 
 VTIPropagator::VTIPropagator(const TTIModel& model, PropagatorOptions opts)
-    : model_(model),
-      opts_(opts),
-      dt_(opts.dt > 0.0 ? opts.dt : model.critical_dt()),
+    : Propagator(model, opts, "vti", VTIKernel::kFirstStep),
+      model_(model),
       p_(3, model.geom.extents, model.geom.radius()),
       q_(3, model.geom.extents, model.geom.radius()),
       ah_(model.geom.extents, model.geom.radius(), real_t{1}),
       an_(model.geom.extents, model.geom.radius(), real_t{1}) {
-  TEMPEST_REQUIRE(opts_.tiles.valid());
+  add_state(p_);
+  add_state(q_);
   TEMPEST_REQUIRE_MSG(grid::max_abs(model.theta) == 0.0 &&
                           grid::max_abs(model.phi) == 0.0,
                       "VTI requires an untilted model (theta == phi == 0); "
@@ -227,42 +227,13 @@ VTIPropagator::VTIPropagator(const TTIModel& model, PropagatorOptions opts)
   });
 }
 
-RunStats VTIPropagator::run(Schedule sched,
-                            const sparse::SparseTimeSeries& src,
-                            sparse::SparseTimeSeries* rec,
-                            const StepCallback& on_step) {
-  if (rec != nullptr) rec->zero();
-  p_.fill(real_t{0});
-  q_.fill(real_t{0});
-  return run_from(VTIKernel::kFirstStep, sched, src, rec, on_step);
-}
-
-RunStats VTIPropagator::run_from(int t_begin, Schedule sched,
-                                 const sparse::SparseTimeSeries& src,
-                                 sparse::SparseTimeSeries* rec,
-                                 const StepCallback& on_step) {
-  VTIKernel kernel(model_, p_, q_, ah_, an_, dt_);
-  core::engine::ScheduleExecutor executor(kernel, opts_);
+RunStats VTIPropagator::run_kernel(int t_begin, Schedule sched,
+                                   const sparse::SparseTimeSeries& src,
+                                   sparse::SparseTimeSeries* rec,
+                                   const StepCallback& on_step) {
+  VTIKernel kernel(model_, p_, q_, ah_, an_, dt());
+  core::engine::ScheduleExecutor executor(kernel, options());
   return executor.run_from(t_begin, sched, src, rec, on_step);
-}
-
-resilience::Checkpoint VTIPropagator::capture(
-    int step, std::uint64_t fingerprint,
-    const sparse::SparseTimeSeries* rec) const {
-  std::vector<const grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(p_.slots() + q_.slots()));
-  for (int s = 0; s < p_.slots(); ++s) slices.push_back(&p_.slot(s));
-  for (int s = 0; s < q_.slots(); ++s) slices.push_back(&q_.slot(s));
-  return core::engine::capture_state(slices, step, VTIKernel::kFirstStep,
-                                     fingerprint, rec);
-}
-
-void VTIPropagator::restore(const resilience::Checkpoint& ck) {
-  std::vector<grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(p_.slots() + q_.slots()));
-  for (int s = 0; s < p_.slots(); ++s) slices.push_back(&p_.slot(s));
-  for (int s = 0; s < q_.slots(); ++s) slices.push_back(&q_.slot(s));
-  core::engine::restore_state(slices, ck);
 }
 
 }  // namespace tempest::physics

@@ -94,7 +94,6 @@ TEST(DslFrontend, AcousticBitIdenticalAcrossSchedulesAndThreads) {
       ph::PropagatorOptions opts;
       opts.tiles = tc::TileSpec{sc.tile_t, 8, 8, 4, 4};
       opts.threads = threads;
-      opts.verify_schedule = true;
 
       ph::AcousticPropagator hand(s.model, opts);
       auto rec_hand = s.rec;
@@ -218,7 +217,6 @@ TEST(DslFrontend, AcousticBitIdenticalAtSpaceOrder8) {
   const dsl::Eq eq = dsl::acoustic_equation();
   ph::PropagatorOptions opts;
   opts.tiles = tc::TileSpec{3, 8, 8, 4, 4};
-  opts.verify_schedule = true;
 
   ph::AcousticPropagator hand(s.model, opts);
   hand.run(ph::Schedule::Wavefront, s.src);
@@ -257,44 +255,6 @@ TEST(DslFrontend, JitDslBitIdenticalToJitAcoustic) {
   }
 }
 
-// The typed-IR interpreter is the scalar oracle for the tape: evaluating
-// the same lowered tree point-by-point must reproduce the DslKernel block
-// update bit-for-bit.
-TEST(DslFrontend, TypedInterpreterMatchesKernelTapeBitExact) {
-  const tg::Extents3 e{10, 9, 8};
-  ph::Geometry g{e, 10.0, 4, 2};
-  ph::AcousticModel model = ph::make_acoustic_layered(g, 1.5, 3.0, 2);
-  const double dt = model.critical_dt();
-  const dsl::LoweredKernel lowered =
-      dsl::lower_kernel(dsl::acoustic_equation(), 4, g.spacing, dt);
-
-  // Deterministic non-trivial field data.
-  tg::TimeBuffer<real_t> u(3, e, g.radius(), real_t{0});
-  for (int t = 0; t < 2; ++t) {
-    for (int x = 0; x < e.nx; ++x) {
-      for (int y = 0; y < e.ny; ++y) {
-        for (int z = 0; z < e.nz; ++z) {
-          u.at(t)(x, y, z) = static_cast<real_t>(
-              std::sin(0.3 * x + 0.5 * y + 0.7 * z + t));
-        }
-      }
-    }
-  }
-
-  dsl::DslKernel kernel(lowered, model, {}, u, dt);
-  kernel.apply(1, tg::Box3::whole(e));
-
-  const dsl::TypedInterpreter interp(lowered, model);
-  for (int x = 0; x < e.nx; ++x) {
-    for (int y = 0; y < e.ny; ++y) {
-      for (int z = 0; z < e.nz; ++z) {
-        ASSERT_EQ(u.at(2)(x, y, z), interp.eval_at(u, 1, x, y, z))
-            << "(" << x << "," << y << "," << z << ")";
-      }
-    }
-  }
-}
-
 // The sponge scenario: an absorbing-boundary equation authored purely in
 // the DSL — its damping coefficient is a *bound* grid (the generalised
 // power-law sponge), not the model's own field — classifies as Generic,
@@ -319,7 +279,6 @@ TEST(DslFrontend, SpongeScenarioRunsUnderEverySchedule) {
     ph::PropagatorOptions opts;
     opts.tiles = tc::TileSpec{sc.tile_t, 8, 8, 4, 4};
     opts.threads = 8;
-    opts.verify_schedule = true;
     dsl::DslPropagator prop(eq, s.model, opts, bindings, "sponge");
     auto rec = s.rec;
     prop.run(sc.sched, s.src, &rec);
@@ -405,34 +364,4 @@ TEST(DslFrontend, LoweringRejectsUnsupportedShapes) {
   EXPECT_THROW((void)dsl::lower_kernel(
                    dsl::Eq{u.forward(), u.laplace()}, 4, 10.0, 1.0),
                tempest::util::PreconditionError);
-}
-
-// Checkpoint/restore parity: the DSL propagator resumes mid-run exactly
-// like the hand-written one (engine capture/restore is kernel-agnostic).
-TEST(DslFrontend, CheckpointRestoreBitExact) {
-  auto s = make_setup({16, 14, 12}, 4, 20);
-  const dsl::Eq eq = dsl::acoustic_equation();
-  ph::PropagatorOptions opts;
-  opts.tiles = tc::TileSpec{1, 8, 8, 4, 4};
-
-  dsl::DslPropagator full(eq, s.model, opts);
-  full.run(ph::Schedule::SpaceBlocked, s.src);
-
-  // Run the head, capture, restore into a fresh propagator, re-run the
-  // tail from the cut: run == run-head + run_from-tail, bitwise.
-  const int t_cut = 10;
-  dsl::DslPropagator partial(eq, s.model, opts);
-  sp::SparseTimeSeries head(s.src.coords(), t_cut);
-  for (int t = 0; t < t_cut; ++t) {
-    for (int p = 0; p < s.src.npoints(); ++p) {
-      head.at(t, p) = s.src.at(t, p);
-    }
-  }
-  partial.run(ph::Schedule::SpaceBlocked, head);
-  const auto ck = partial.capture(t_cut, 0x5eedu);
-  dsl::DslPropagator resumed(eq, s.model, opts);
-  resumed.restore(ck);
-  resumed.run_from(t_cut, ph::Schedule::SpaceBlocked, s.src);
-  EXPECT_EQ(tg::max_abs_diff(full.wavefield(s.nt), resumed.wavefield(s.nt)),
-            0.0);
 }

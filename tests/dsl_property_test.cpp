@@ -1,11 +1,11 @@
 // Property suite for the typed-IR frontend: for *randomized* DSL equations
 // in the lowerable fragment, the access footprint the lowering declares
 // structurally (LoweredKernel::accesses, what the legality verifier
-// consumes) must equal the footprint the typed interpreter actually touches
-// when evaluating the update tree. A structural footprint that under-
-// reports loads would let the legality verifier approve an illegal
-// schedule; one that over-reports would reject legal ones — either way the
-// bug is invisible to example-based tests, hence the generator.
+// consumes) must equal the footprint of the loads the DslKernel tape — the
+// evaluator that actually runs — performs per point. A structural footprint
+// that under-reports loads would let the legality verifier approve an
+// illegal schedule; one that over-reports would reject legal ones — either
+// way the bug is invisible to example-based tests, hence the generator.
 //
 // Seeding follows property_test.cpp: a SplitMix64 stream keyed by
 // TEMPEST_PROPERTY_SEED (fixed default), replayable via
@@ -21,7 +21,7 @@
 #include <tuple>
 #include <vector>
 
-#include "tempest/dsl/interpreter.hpp"
+#include "tempest/dsl/kernel.hpp"
 #include "tempest/dsl/lower.hpp"
 #include "tempest/physics/acoustic.hpp"
 #include "tempest/util/rng.hpp"
@@ -132,7 +132,7 @@ class DslFootprintProperty : public ::testing::TestWithParam<std::uint64_t> {
 
 // The property: structural footprint == observed footprint, exactly.
 // Declared read hulls per time slice must match the hull of the loads the
-// evaluator performs, the declared radius must match the deepest spatial
+// tape performs, the declared radius must match the deepest spatial
 // reach, and the write access must be the centre point at t+1.
 TEST_P(DslFootprintProperty, StructuralAccessesMatchObservedLoads) {
   tu::SplitMix64 rng(GetParam());
@@ -141,21 +141,17 @@ TEST_P(DslFootprintProperty, StructuralAccessesMatchObservedLoads) {
     const dsl::LoweredKernel lowered =
         dsl::lower_kernel(r.eq, r.space_order, 10.0, 0.5, "prop");
 
-    // -- Observe: evaluate at one interior point with the load observer.
+    // -- Observe: the loads the kernel's tape performs per point.
     const tg::Extents3 e{2 * lowered.radius() + 3, 2 * lowered.radius() + 3,
                          2 * lowered.radius() + 3};
     ph::Geometry geom{e, 10.0, r.space_order, 0};
     const ph::AcousticModel model = ph::make_acoustic_homogeneous(geom, 1.5);
     tg::TimeBuffer<real_t> u(3, e, geom.radius(), real_t{1});
-    const dsl::TypedInterpreter interp(lowered, model);
+    const dsl::DslKernel kernel(lowered, model, {}, u, 0.5);
     std::set<Offset> observed;
-    const int c = lowered.radius() + 1;
-    (void)interp.eval_at(u, 1, c, c, c,
-                         [&](const std::string& field, int dt, int dx,
-                             int dy, int dz) {
-                           EXPECT_EQ(field, lowered.field);
-                           observed.insert({dt, dx, dy, dz});
-                         });
+    for (const dsl::DslKernel::Load& l : kernel.loads()) {
+      observed.insert({l.dt, l.dx, l.dy, l.dz});
+    }
     ASSERT_FALSE(observed.empty());
 
     // -- Structural footprint, from the accesses the lowering declared.

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -96,6 +97,41 @@ TEST_F(ObsTest, BucketIndexIsMonotoneAndInvertsBounds) {
     const double hi = static_cast<double>(Histogram::bucket_upper(i));
     EXPECT_LE((hi - lo + 1) / lo, 0.125 + 1e-12);
   }
+}
+
+// The extremes are well-defined (the UBSan lane aborts on signed overflow):
+// the top bucket ends exactly at INT64_MAX, and the sum saturates there
+// instead of wrapping, in record_n and in merge alike.
+TEST_F(ObsTest, TopBucketAndSumSaturateAtInt64Max) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(Histogram::bucket_upper(Histogram::kNumBuckets - 1), kMax);
+  EXPECT_EQ(Histogram::bucket_index(kMax), Histogram::kNumBuckets - 1);
+
+  Histogram h;
+  h.record(kMax - 5);
+  EXPECT_EQ(h.sum(), kMax - 5);
+  h.record(3);
+  EXPECT_EQ(h.sum(), kMax - 2);
+  h.record(kMax);  // would wrap
+  EXPECT_EQ(h.sum(), kMax);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.max(), kMax);
+  EXPECT_EQ(h.quantile(1.0), kMax);
+
+  Histogram many;
+  many.record_n(kMax / 2, 3);  // v * n overflows before the add
+  EXPECT_EQ(many.sum(), kMax);
+
+  Histogram a;
+  a.record(kMax - 1);
+  Histogram b;
+  b.record(2);
+  Histogram ab = a;
+  ab.merge(b);
+  Histogram ba = b;
+  ba.merge(a);
+  EXPECT_EQ(ab.sum(), kMax);
+  EXPECT_EQ(ab, ba);
 }
 
 TEST_F(ObsTest, NegativeRecordsClampToZeroAndEmptyIsInert) {

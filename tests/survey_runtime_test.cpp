@@ -1,14 +1,13 @@
 // Integration tests for the crash-tolerant survey runtime.
 //
-// The mid-shot kill-and-resume matrix covers all four physics kernels
-// (acoustic, TTI, VTI, elastic): a run killed at a checkpoint mid-shot and
-// resumed in a fresh propagator must reproduce the uninterrupted gather
-// *bitwise* — the property the process-level chaos harness then proves
-// across real SIGKILLs. The survey-level tests exercise the degradation
-// ladder (the JIT rung runs its compiled block bit-identically to AOT; an
-// injected persistent JIT fault completes on the AOT rung, reported as
-// degraded — never failed), journal re-entry after a dead
-// process, and watchdog-driven quarantine when every rung is too slow.
+// The mid-shot kill-and-resume contract every propagator family meets is
+// tested once, through the physics::Propagator base, in propagator_test;
+// the process-level chaos harness proves it across real SIGKILLs. The
+// survey-level tests here exercise the degradation ladder (the JIT rung
+// runs its compiled block bit-identically to AOT; an injected persistent
+// JIT fault completes on the AOT rung, reported as degraded — never
+// failed), journal re-entry after a dead process, and watchdog-driven
+// quarantine when every rung is too slow.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -22,21 +21,14 @@
 #include "tempest/jobs/chaos.hpp"
 #include "tempest/jobs/queue.hpp"
 #include "tempest/jobs/survey.hpp"
-#include "tempest/physics/acoustic.hpp"
-#include "tempest/physics/elastic.hpp"
-#include "tempest/physics/tti.hpp"
-#include "tempest/physics/vti.hpp"
+#include "tempest/physics/propagator.hpp"
 #include "tempest/resilience/checkpoint.hpp"
 #include "tempest/resilience/fault.hpp"
-#include "tempest/sparse/survey.hpp"
-#include "tempest/sparse/wavelet.hpp"
 #include "tempest/trace/trace.hpp"
 
 namespace jb = tempest::jobs;
 namespace ph = tempest::physics;
 namespace rs = tempest::resilience;
-namespace sp = tempest::sparse;
-namespace tg = tempest::grid;
 namespace tr = tempest::trace;
 
 namespace {
@@ -64,91 +56,7 @@ class TempDir {
 };
 int TempDir::counter_ = 0;
 
-/// Thrown from a step callback to model the process dying mid-run.
-struct KillSignal {};
-
-/// The S4 contract, uniform across the propagator family: kill a barrier
-/// run at `kill_at` right after saving a checkpoint, resume in a *fresh*
-/// propagator (the restarted process), and require the recorded gather to
-/// match the uninterrupted run bit for bit.
-template <typename Propagator, typename Model>
-void expect_kill_resume_bitwise(const Model& model, int nt, int kill_at) {
-  const tg::Extents3 e = model.geom.extents;
-  sp::SparseTimeSeries src(sp::single_center_source(e, 0.4), nt);
-  src.broadcast_signature(sp::ricker(nt, model.critical_dt(), 0.02));
-  const sp::SparseTimeSeries rec_proto(sp::receiver_line(e, 4, 0.15, 3), nt);
-
-  Propagator ref(model);
-  auto rec_ref = rec_proto;
-  ref.run(ph::Schedule::SpaceBlocked, src, &rec_ref);
-
-  rs::Fingerprint fp;
-  fp.add(e.nx).add(e.ny).add(e.nz).add(model.geom.space_order).add(nt);
-
-  TempDir dir;
-  std::filesystem::create_directories(dir.path());
-  rs::Checkpointer ckpt(dir.path() + "/shot.tpck");
-  {
-    Propagator first(model);
-    auto rec = rec_proto;
-    EXPECT_THROW(
-        first.run(ph::Schedule::SpaceBlocked, src, &rec,
-                  [&](int t_done) {
-                    if (t_done == kill_at) {
-                      ckpt.save(first.capture(t_done, fp.value(), &rec));
-                      throw KillSignal{};  // the process "dies" here
-                    }
-                  }),
-        KillSignal);
-  }
-
-  Propagator resumed(model);
-  const auto ck = ckpt.try_load(fp.value());
-  ASSERT_TRUE(ck.has_value());
-  EXPECT_EQ(ck->step, kill_at);
-  ASSERT_TRUE(ck->has_rec);
-  resumed.restore(*ck);
-  auto rec_resumed = ck->rec;
-  resumed.run_from(ck->step, ph::Schedule::SpaceBlocked, src, &rec_resumed);
-
-  for (int t = 0; t < nt; ++t) {
-    for (int r = 0; r < rec_ref.npoints(); ++r) {
-      ASSERT_EQ(rec_ref.at(t, r), rec_resumed.at(t, r))
-          << "t=" << t << " r=" << r;
-    }
-  }
-}
-
 }  // namespace
-
-// --- S4: the kill-and-resume matrix across all four physics kernels. ---
-
-TEST_F(SurveyRuntime, AcousticKillResumeGatherBitwise) {
-  ph::Geometry g{{16, 14, 12}, 10.0, 4, /*nbl=*/4};
-  expect_kill_resume_bitwise<ph::AcousticPropagator>(
-      ph::make_acoustic_layered(g, 1.5, 3.0, 3), /*nt=*/20, /*kill_at=*/11);
-}
-
-TEST_F(SurveyRuntime, TTIKillResumeGatherBitwise) {
-  ph::Geometry g{{14, 13, 12}, 20.0, 4, /*nbl=*/4};
-  expect_kill_resume_bitwise<ph::TTIPropagator>(
-      ph::make_tti_layered(g, 1.5, 3.0, 3), /*nt=*/18, /*kill_at=*/9);
-}
-
-TEST_F(SurveyRuntime, VTIKillResumeGatherBitwise) {
-  ph::Geometry g{{14, 12, 12}, 20.0, 4, /*nbl=*/4};
-  ph::TTIModel model = ph::make_tti_layered(g, 1.5, 3.0, 3);
-  model.theta.fill(0.0f);  // untilted: a genuine VTI medium
-  model.phi.fill(0.0f);
-  expect_kill_resume_bitwise<ph::VTIPropagator>(model, /*nt=*/18,
-                                                /*kill_at=*/10);
-}
-
-TEST_F(SurveyRuntime, ElasticKillResumeGatherBitwise) {
-  ph::Geometry g{{14, 12, 10}, 10.0, 4, /*nbl=*/4};
-  expect_kill_resume_bitwise<ph::ElasticPropagator>(
-      ph::make_elastic_layered(g, 1.5, 3.0, 3), /*nt=*/16, /*kill_at=*/7);
-}
 
 // --- Acceptance: an injected persistent JIT fault completes the shot via
 // the degradation ladder and is reported as degraded, not failed. ---
