@@ -20,7 +20,9 @@
 #                box is recycled; run a journaled survey and
 #                schema-check its BENCH_survey.json + OpenMetrics file;
 #                finally run a --jit and an AOT wavefront survey and cmp
-#                their gathers (the +jit rung runs the compiled block)
+#                their gathers (the +jit rung runs the compiled block),
+#                and a --jit survey under a $CC wrapper that zeroes the
+#                generated update, whose gathers must all differ
 #   --tidy       run clang-tidy (bugprone + performance, see .clang-tidy)
 #                over every library layer — engine, physics, analysis
 #                (including the statics passes), dsl, codegen, jobs, obs,
@@ -153,6 +155,34 @@ run_chaos() {
   fi
   for g in build-asan/chaos_survey_aot/shot_*.tpg; do
     cmp "${g}" "build-asan/chaos_survey_jit/$(basename "${g}")"
+  done
+  echo "==> survey smoke: the +jit rung really invokes a different \$CC"
+  # The compiled-block cache is keyed on the compile command, so another
+  # compiler is a cache miss: a wrapper that zeroes the generated update
+  # must change every gather of a --jit survey.
+  rm -rf build-asan/chaos_survey_sab
+  sab_cc="$(pwd)/build-asan/sabotaged_cc.sh"
+  cat >"${sab_cc}" <<SABOTAGE
+#!/bin/sh
+for a; do src=\$a; done
+sed -i 's/unr\[z\] = /unr[z] = 0.0f * /' "\$src"
+exec ${CC:-cc} "\$@"
+SABOTAGE
+  chmod +x "${sab_cc}"
+  CC="${sab_cc}" ASAN_OPTIONS="${asan_env}" build-asan/examples/seismic_survey \
+    --size=20 --steps=30 --shots=2 --so=4 --schedule=wavefront --jit \
+    --jobs-dir=build-asan/chaos_survey_sab >build-asan/chaos_survey_sab.log
+  if [ "$(grep -c "on 'wavefront+jit'" build-asan/chaos_survey_sab.log)" \
+       != 2 ]; then
+    echo "chaos: a sabotaged --jit shot did not finish on wavefront+jit" >&2
+    cat build-asan/chaos_survey_sab.log >&2
+    exit 1
+  fi
+  for g in build-asan/chaos_survey_aot/shot_*.tpg; do
+    if cmp -s "${g}" "build-asan/chaos_survey_sab/$(basename "${g}")"; then
+      echo "chaos: the sabotaged compiler left $(basename "${g}") intact" >&2
+      exit 1
+    fi
   done
   echo "==> chaos checks passed"
 }

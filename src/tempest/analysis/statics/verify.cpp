@@ -43,14 +43,6 @@ StaticsReport verify_statics(const dsl::LoweredKernel& kernel,
     if (it != options.bounds.end()) vp = it->second;
     report.stability = check_acoustic_stability(kernel.dt, kernel.spacing,
                                                 kernel.space_order, vp);
-    if (options.allow_unstable) {
-      for (Diagnostic& d : report.stability.diagnostics) {
-        if (d.severity == Diagnostic::Severity::Error) {
-          d.severity = Diagnostic::Severity::Note;
-          d.message += " [allowed by OperatorOptions::allow_unstable]";
-        }
-      }
-    }
   }
 
   LintOptions lopts;

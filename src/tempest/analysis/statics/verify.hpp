@@ -36,11 +36,9 @@ struct StaticsOptions {
   std::vector<std::string> resolvable;
   /// Halo radius the execution layer allocates; -1 = the kernel's own.
   int declared_radius = -1;
-  /// Skip the stability pass (callers without a meaningful dt/spacing).
+  /// Skip the stability pass (callers without a meaningful dt/spacing, or
+  /// whose own gate — physics::Propagator's — already ran it).
   bool check_stability = true;
-  /// Demote stability errors to notes (OperatorOptions::allow_unstable:
-  /// deliberate divergence tests keep every other gate).
-  bool allow_unstable = false;
 };
 
 /// Combined verdict of the three kernel-level statics passes.

@@ -21,10 +21,9 @@ struct KernelSpec {
   /// modules can coexist in one process; usually the LoweredKernel name.
   std::string kernel = "acoustic";
 
-  /// Emitted entry point name.
-  [[nodiscard]] std::string symbol() const {
-    return "tempest_" + kernel + "_so" + std::to_string(space_order);
-  }
+  /// Emitted entry point name: a C identifier whatever the kernel name
+  /// ("dsl-acoustic" becomes tempest_dsl_acoustic_so4).
+  [[nodiscard]] std::string symbol() const;
 };
 
 /// Emit the C translation unit for `lowered`: exactly one exported

@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <mutex>
 
 #include "tempest/resilience/fault.hpp"
 #include "tempest/obs/metrics.hpp"
@@ -25,19 +27,15 @@ namespace tempest::codegen {
 
 namespace {
 
-/// Unlinks a temp artifact unless released — the compile/dlopen/dlsym
+/// Unlinks a temp artifact on scope exit — the compile/dlopen/dlsym
 /// pipeline has four distinct failure exits and every one of them must
 /// clean up both the .c and the .so (they used to leak on failure).
 class TempFileGuard {
  public:
   explicit TempFileGuard(std::string path) : path_(std::move(path)) {}
-  ~TempFileGuard() {
-    if (!path_.empty()) ::unlink(path_.c_str());
-  }
+  ~TempFileGuard() { ::unlink(path_.c_str()); }
   TempFileGuard(const TempFileGuard&) = delete;
   TempFileGuard& operator=(const TempFileGuard&) = delete;
-
-  void release() { path_.clear(); }
 
  private:
   std::string path_;
@@ -49,6 +47,11 @@ std::string compiler_command() {
   const char* cc = std::getenv("CC");
   return (cc != nullptr && *cc != '\0') ? cc : "cc";
 }
+
+// The library's ISA flags, passed in by the build (CMakeLists.txt).
+#ifndef TEMPEST_JIT_ISA_FLAGS
+#define TEMPEST_JIT_ISA_FLAGS ""
+#endif
 
 /// Compile deadline in milliseconds ($TEMPEST_JIT_TIMEOUT_MS, default 2
 /// minutes): a wedged compiler must not hang the simulation forever.
@@ -144,6 +147,20 @@ CommandResult run_command(const std::string& cmd, int timeout_ms) {
 
 }  // namespace
 
+const std::string& default_jit_flags() {
+  static const std::string flags = [] {
+    std::string f = "-O3 -fopenmp-simd -ffp-contract=off";
+    const std::string isa = TEMPEST_JIT_ISA_FLAGS;
+    if (!isa.empty()) f += " " + isa;
+    return f;
+  }();
+  return flags;
+}
+
+std::string jit_compile_command(const std::string& flags) {
+  return compiler_command() + " " + flags + " -fPIC -shared";
+}
+
 JitModule::JitModule(const std::string& c_source,
                      const std::string& symbol_name,
                      const std::string& extra_flags) {
@@ -160,10 +177,13 @@ JitModule::JitModule(const std::string& c_source,
   }
   ::close(fd);
 
-  so_path_ = std::string(c_path, std::strlen(c_path) - 2) + ".so";
-  TempFileGuard so_guard(so_path_);
-  const std::string cmd = compiler_command() + " " + extra_flags +
-                          " -fPIC -shared -o " + so_path_ + " " + c_path;
+  const std::string so_path = std::string(c_path, std::strlen(c_path) - 2) +
+                              ".so";
+  // Unlinked on every exit, success included: once dlopen has mapped the
+  // object its name is no longer needed.
+  const TempFileGuard so_guard(so_path);
+  const std::string cmd = jit_compile_command(extra_flags) + " -o " +
+                          so_path + " " + c_path;
   const int timeout_ms = jit_timeout_ms();
 
   // Retries absorb transient failures (OOM kill, tmpfs hiccup, a ccache
@@ -196,7 +216,7 @@ JitModule::JitModule(const std::string& c_source,
 
   {
     TEMPEST_TRACE_SPAN("jit.load", "codegen");
-    handle_ = ::dlopen(so_path_.c_str(), RTLD_NOW | RTLD_LOCAL);
+    handle_ = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
     TEMPEST_REQUIRE_MSG(handle_ != nullptr,
                         std::string("dlopen failed: ") + ::dlerror());
     sym_ = ::dlsym(handle_, symbol_name.c_str());
@@ -208,17 +228,12 @@ JitModule::JitModule(const std::string& c_source,
                               symbol_name);
     }
   }
-  // Success: the .so must outlive us while mapped; the destructor unlinks.
-  so_guard.release();
 }
 
 JitModule::JitModule(JitModule&& other) noexcept
-    : handle_(other.handle_),
-      sym_(other.sym_),
-      so_path_(std::move(other.so_path_)) {
+    : handle_(other.handle_), sym_(other.sym_) {
   other.handle_ = nullptr;
   other.sym_ = nullptr;
-  other.so_path_.clear();
 }
 
 JitModule& JitModule::operator=(JitModule&& other) noexcept {
@@ -231,7 +246,6 @@ JitModule& JitModule::operator=(JitModule&& other) noexcept {
 
 JitModule::~JitModule() {
   if (handle_ != nullptr) ::dlclose(handle_);
-  if (!so_path_.empty()) ::unlink(so_path_.c_str());
 }
 
 namespace {
@@ -243,7 +257,19 @@ KernelSpec spec_of(const dsl::LoweredKernel& lowered) {
 }  // namespace
 
 CompiledBlock::CompiledBlock(const dsl::LoweredKernel& lowered)
-    : source_(emit_dsl_c(lowered, spec_of(lowered))),
-      module_(source_, spec_of(lowered).symbol()) {}
+    : source_(emit_dsl_c(lowered, spec_of(lowered))) {
+  static std::mutex mu;
+  static std::map<std::string, JitModule> cache;
+  const std::string key = jit_compile_command() + "\n" + source_;
+  // Compiling under the lock makes a second propagator of the same
+  // equation wait for the first compile instead of repeating it.
+  const std::lock_guard<std::mutex> lock(mu);
+  auto it = cache.find(key);
+  if (it == cache.end()) {
+    it = cache.emplace(key, JitModule(source_, spec_of(lowered).symbol()))
+             .first;
+  }
+  fn_ = it->second.as<dsl::BlockFn>();
+}
 
 }  // namespace tempest::codegen

@@ -18,10 +18,28 @@ class JitCompileError : public util::TransientError {
   using util::TransientError::TransientError;
 };
 
+/// The flags every generated module compiles with: optimise + vectorise
+/// (-fopenmp-simd honours the generated `omp simd simdlen` pragmas without
+/// pulling in an OpenMP runtime, so JIT-compiled kernels stay
+/// single-threaded objects the task-parallel engine can schedule),
+/// -ffp-contract=off as in the library build (the JIT'd C evaluates the
+/// same expression trees as the AOT kernels and the DslKernel tape, and
+/// bitwise cross-artifact comparisons require all three to round
+/// identically), and the library's own ISA flags (-march=native when the
+/// build uses it), so generated and AOT kernels target the same machine.
+[[nodiscard]] const std::string& default_jit_flags();
+
+/// The compiler invocation without its file arguments: $CC (else "cc"),
+/// `flags`, -fPIC -shared. Part of the compiled-block cache key.
+[[nodiscard]] std::string jit_compile_command(
+    const std::string& flags = default_jit_flags());
+
 /// JIT host: compiles a C translation unit with the system C compiler into
 /// a shared object and loads one symbol — the run-time half of the
-/// Devito-style code generation workflow. The temporary artifacts live
-/// under /tmp and are removed on *every* path, success or failure.
+/// Devito-style code generation workflow. The temporary source is removed
+/// on *every* path, success or failure, and the shared object right after
+/// it is loaded (the mapping outlives the name), so a killed process
+/// leaves no file behind.
 ///
 /// Hardened for long-running production use: honours $CC (falling back to
 /// "cc"), retries failed compiles under the shared util::BackoffPolicy
@@ -33,18 +51,11 @@ class JitCompileError : public util::TransientError {
 /// JitCompileError.
 class JitModule {
  public:
-  /// Compile `c_source` and resolve `symbol_name`. Throws PreconditionError
-  /// with the compiler diagnostics on failure. `extra_flags` is appended to
-  /// the compile line (default: optimise + vectorise; -fopenmp-simd honours
-  /// the generated `omp simd simdlen` pragmas without pulling in an
-  /// OpenMP runtime, so JIT-compiled kernels stay single-threaded objects
-  /// the task-parallel engine can schedule; -ffp-contract=off mirrors the
-  /// engine build — the JIT'd C evaluates the same expression trees as the
-  /// AOT kernels and the DslKernel tape, and bitwise cross-artifact
-  /// comparisons require all three to round identically).
+  /// Compile `c_source` with jit_compile_command(extra_flags) and resolve
+  /// `symbol_name`. Throws JitCompileError with the compiler diagnostics
+  /// when the compile fails, PreconditionError when loading does.
   JitModule(const std::string& c_source, const std::string& symbol_name,
-            const std::string& extra_flags =
-                "-O3 -fopenmp-simd -ffp-contract=off");
+            const std::string& extra_flags = default_jit_flags());
 
   JitModule(JitModule&& other) noexcept;
   JitModule& operator=(JitModule&& other) noexcept;
@@ -62,24 +73,26 @@ class JitModule {
  private:
   void* handle_ = nullptr;
   void* sym_ = nullptr;
-  std::string so_path_;
 };
 
-/// The generated per-block update of one lowered kernel, compiled and
-/// loaded: emit_dsl_c + JitModule. Attach fn() to the dsl::DslPropagator
-/// that produced `lowered` and keep this object alive while it runs. Build
-/// it after that propagator: its statics gate (stable dt, no out-of-halo
-/// load) then runs before the compiler is paid for.
+/// The generated per-block update of one lowered kernel: emit_dsl_c, then
+/// a JitModule from a mutex-guarded, process-wide cache keyed on the
+/// emitted source plus jit_compile_command() — so one equation compiles
+/// once per process and per compiler, however many propagators run it.
+/// Cached modules stay loaded until the process exits, so fn() outlives
+/// this object. dsl::DslPropagator builds one at construction, after its
+/// statics gate (stable dt, no out-of-halo load) has run. A failed compile
+/// throws JitCompileError and caches nothing.
 class CompiledBlock {
  public:
   explicit CompiledBlock(const dsl::LoweredKernel& lowered);
 
-  [[nodiscard]] dsl::BlockFn* fn() const { return module_.as<dsl::BlockFn>(); }
+  [[nodiscard]] dsl::BlockFn* fn() const { return fn_; }
   [[nodiscard]] const std::string& source_code() const { return source_; }
 
  private:
   std::string source_;
-  JitModule module_;
+  dsl::BlockFn* fn_ = nullptr;
 };
 
 }  // namespace tempest::codegen

@@ -9,7 +9,8 @@ namespace tempest::core {
 
 /// Step 5 of the paper (Listing 5, Fig. 6): the dense SM/SID volumes are
 /// massively sparse, so the fused z2 loop would mostly multiply by zero.
-/// We aggregate non-zeros along z into a per-(x,y)-column structure:
+/// We aggregate non-zeros along z into a per-(x,y)-column structure
+/// (built straight from the affected points; the volumes are optional):
 ///   nnz(x,y)            — the paper's nnz_mask
 ///   entries of a column — packed (z index, id) pairs, the paper's Sp_SID
 /// stored CSR so each column's work is a contiguous, cache-friendly walk.
@@ -20,9 +21,22 @@ class CompressedSparse {
     int id = 0;
   };
 
+  /// One affected grid point and its id.
+  struct Point {
+    int x = 0;
+    int y = 0;
+    int z = 0;
+    int id = 0;
+  };
+
   CompressedSparse() = default;
 
-  /// Build from a binary mask and an id volume (sid < 0 where mask == 0).
+  /// Build from affected points listed in x-major order (x, then y, then z
+  /// ascending) over an nx x ny column plane: no grid-sized buffer.
+  CompressedSparse(int nx, int ny, std::span<const Point> points);
+
+  /// Build from a binary mask and an id volume (sid < 0 where mask == 0):
+  /// scans the volume into the x-major point list above.
   CompressedSparse(const grid::Grid3<unsigned char>& mask,
                    const grid::Grid3<int>& ids);
 

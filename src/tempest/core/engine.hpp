@@ -335,21 +335,14 @@ class ScheduleExecutor {
                  .time_reads = summary.time_reads,
                  .receivers = has_rec}));
       util::Timer pre;
-      const core::SourceMasks masks =
-          core::build_source_masks(e, src, opts_.interp);
-      const core::DecomposedSource dcmp =
-          core::decompose_sources(masks, src, opts_.interp);
-      const core::CompressedSparse cs_src(masks.sm, masks.sid);
-
-      core::DecomposedReceivers drec;
-      core::CompressedSparse cs_rec;
+      // Built from the supports alone: no grid-sized buffer (precompute.hpp).
+      const core::FusedOperands ops =
+          core::precompute_fused(e, src, has_rec ? rec : nullptr, opts_.interp);
       core::ReceiverStage stage;
       if (has_rec) {
-        drec = core::decompose_receivers(e, *rec, opts_.interp);
-        cs_rec = core::CompressedSparse(drec.rm, drec.rid);
         // Band-local staging for the deterministic parallel gather (see
         // fused.hpp): one row per in-flight timestep of a band.
-        stage = core::ReceiverStage(tile_t, drec.npts);
+        stage = core::ReceiverStage(tile_t, ops.rec.npts);
         stage.begin_band(t_begin);
       }
       stats.precompute_seconds = pre.seconds();
@@ -372,14 +365,14 @@ class ScheduleExecutor {
           TEMPEST_TRACE_SPAN_ARG("inject", "sparse", t);
           const FieldRefs targets = k_.inject_fields(t);
           for (int i = 0; i < targets.count; ++i) {
-            core::fused_inject(*targets.field[i], cs_src, dcmp, t, box.x,
-                               box.y, inj_scale);
+            core::fused_inject(*targets.field[i], ops.cs_src, ops.dcmp, t,
+                               box.x, box.y, inj_scale);
           }
         }
-        if (has_rec && !cs_rec.empty()) {
+        if (has_rec && !ops.cs_rec.empty()) {
           TEMPEST_TRACE_SPAN_ARG("interp", "sparse", t);
-          core::fused_sample(k_.gather_field(t), cs_rec, stage.row(t), box.x,
-                             box.y);
+          core::fused_sample(k_.gather_field(t), ops.cs_rec, stage.row(t),
+                             box.x, box.y);
         }
       };
 
@@ -405,10 +398,11 @@ class ScheduleExecutor {
           band_start_ns = now;
         }
 #endif
-        if (has_rec && !cs_rec.empty()) {
+        if (has_rec && !ops.cs_rec.empty()) {
           TEMPEST_TRACE_SPAN_ARG("interp.reduce", "sparse", t_done);
           for (int t = reduced_upto; t < t_done; ++t) {
-            core::reduce_receiver_stage(stage, drec, t, rec->step(t).data());
+            core::reduce_receiver_stage(stage, ops.rec, t,
+                                        rec->step(t).data());
           }
         }
         if (has_rec) stage.begin_band(t_done);

@@ -123,7 +123,7 @@ inline void fused_sample(const grid::Grid3<real_t>& u,
 /// parallel gathers bitwise equal to the single-thread reference (float
 /// accumulation order is fixed, independent of tile interleaving).
 inline void reduce_receiver_stage(const ReceiverStage& stage,
-                                  const DecomposedReceivers& dr, int t,
+                                  const AffectedPoints& dr, int t,
                                   real_t* rec_step) {
   const real_t* samples = stage.row(t);
   long long applications = 0;
@@ -133,9 +133,8 @@ inline void reduce_receiver_stage(const ReceiverStage& stage,
     const int end = dr.offsets[static_cast<std::size_t>(id) + 1];
     applications += end - begin;
     for (int k = begin; k < end; ++k) {
-      const DecomposedReceivers::Pair& pr =
-          dr.pairs[static_cast<std::size_t>(k)];
-      rec_step[pr.receiver] += pr.weight * value;
+      const AffectedPoints::Pair& pr = dr.pairs[static_cast<std::size_t>(k)];
+      rec_step[pr.site] += pr.weight * value;
     }
   }
   TEMPEST_TRACE_COUNT(ReceiversInterpolated, applications);

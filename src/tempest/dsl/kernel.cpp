@@ -6,6 +6,7 @@
 
 #include "tempest/analysis/statics/lint.hpp"
 #include "tempest/analysis/statics/verify.hpp"
+#include "tempest/codegen/jit.hpp"
 #include "tempest/util/align.hpp"
 #include "tempest/util/error.hpp"
 
@@ -252,6 +253,8 @@ DslPropagator::DslPropagator(const Eq& eq, const physics::AcousticModel& model,
   sopts.declared_radius = model.geom.radius();
   sopts.check_stability = false;
   statics::require_static_ok(statics::verify_statics(lowered_, sopts));
+  // Only a kernel that passed the gate is worth a compiler run.
+  attach_block(codegen::CompiledBlock(lowered_).fn());
 }
 
 physics::RunStats DslPropagator::run_kernel(

@@ -1,16 +1,16 @@
 #pragma once
 
 // The engine adapter for DSL-authored physics: a PhysicsKernel whose
-// per-block update evaluates the lowered expression tree (dsl::lower) in
-// real_t via a compiled postorder tape — or, when one is attached, calls the
-// same tree compiled to C (codegen::CompiledBlock) — plus a propagator on
-// the physics::Propagator base every physics shares. DSL-authored equations
-// thereby run under every schedule — reference, space-blocked, wavefront,
-// fused, diamond — with trace, health monitoring, checkpointing, task
-// parallelism and the autotuner unchanged, and (because the tape preserves
-// the lowering's operand association under the project's value-safe FP
-// flags) the acoustic equation authored in the DSL is bit-identical to the
-// hand-written kernel.
+// per-block update calls the lowered expression tree (dsl::lower) compiled
+// to C (codegen::CompiledBlock) — or, when none is attached, evaluates the
+// same tree in real_t via a postorder tape, the test oracle — plus a
+// propagator on the physics::Propagator base every physics shares.
+// DSL-authored equations thereby run under every schedule — reference,
+// space-blocked, wavefront, fused, diamond — with trace, health
+// monitoring, checkpointing, task parallelism and the autotuner unchanged,
+// and (because both evaluators preserve the lowering's operand association
+// under the project's value-safe FP flags) the acoustic equation authored
+// in the DSL is bit-identical to the hand-written kernel.
 
 #include <cstdint>
 #include <map>
@@ -32,8 +32,8 @@ namespace tempest::dsl {
 /// The C ABI of a compiled per-block update (codegen::emit_dsl_c renders
 /// it): writes `un` (slice t+1) over [x0,x1) x [y0,y1) x [z0,z1) from `uc`
 /// (t) and `up` (t-1). Every pointer is a grid's interior origin, `prm[i]`
-/// that of lowered.params[i]; sx/sy are the shared strides. Declared here so
-/// dsl/ does not depend on codegen/.
+/// that of lowered.params[i]; sx/sy are the shared strides. Declared here,
+/// with the kernel that calls it; codegen/ renders and compiles it.
 using BlockFn = void(float* un, const float* uc, const float* up,
                      const float* const* prm, long sx, long sy, int x0,
                      int x1, int y0, int y1, int z0, int z1);
@@ -142,21 +142,25 @@ static_assert(core::engine::PhysicsKernel<DslKernel>);
 
 /// Propagator over a DSL-authored equation: lowers the Eq at construction
 /// (space order / spacing from the model's geometry, dt resolved and
-/// stability-gated by physics::Propagator) and shares every propagator's
-/// run / resume / checkpoint surface, so DSL kernels slot into surveys, RTM
-/// and the bench drivers unchanged. `name` is the kernel's name and the
-/// family its diagnostics carry.
+/// stability-gated by physics::Propagator), runs the statics gate, then
+/// attaches the lowering's compiled block (codegen::CompiledBlock, one
+/// compile per equation and compiler per process; a failed compile throws
+/// codegen::JitCompileError). It shares every propagator's run / resume /
+/// checkpoint surface, so DSL kernels slot into surveys, RTM and the bench
+/// drivers unchanged. `name` is the kernel's name and the family its
+/// diagnostics carry.
 class DslPropagator final : public physics::Propagator {
  public:
   DslPropagator(const Eq& eq, const physics::AcousticModel& model,
                 physics::PropagatorOptions opts = {},
                 ParamBindings bindings = {}, std::string name = "dsl");
 
-  /// Run every block through `block` — the compiled update of lowered()
-  /// (codegen::CompiledBlock) — instead of the tape; nullptr restores the
-  /// tape, the default. The caller keeps the code loaded while this
-  /// propagator runs. Checks the generated code's alignment contract
-  /// here: every wavefield and parameter allocation on a 64-byte base.
+  /// Run every block through `block`, an update with the ABI and the
+  /// arithmetic of lowered() — the constructor attaches the compiled one;
+  /// nullptr selects the tape, the oracle tests compare it with. The
+  /// caller keeps the code loaded while this propagator runs. Checks the
+  /// generated code's alignment contract here: every wavefield and
+  /// parameter allocation on a 64-byte base.
   void attach_block(BlockFn* block);
 
   [[nodiscard]] const grid::Grid3<real_t>& wavefield(int t) const {

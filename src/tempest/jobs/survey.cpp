@@ -9,7 +9,6 @@
 #include <memory>
 #include <type_traits>
 
-#include "tempest/codegen/jit.hpp"
 #include "tempest/dsl/kernel.hpp"
 #include "tempest/io/io.hpp"
 #include "tempest/jobs/runner.hpp"
@@ -268,15 +267,13 @@ AttemptResult run_shot(const Model& model, const SurveySpec& spec,
   if constexpr (std::is_same_v<Model, physics::AcousticModel>) {
     if (rung.jit) {
       // The JIT rung runs the generated code: the acoustic equation,
-      // lowered by the DSL propagator (whose statics gate runs first),
+      // lowered by the DSL propagator (whose statics gate runs first) and
       // compiled to a per-block kernel the engine drives under the rung's
       // schedule. A broken toolchain throws JitCompileError here —
       // transient, so the Runner retries with backoff and, once the budget
       // is spent, degrades the shot to the AOT rung below.
       dsl::DslPropagator prop(dsl::acoustic_equation(), model, opts, {},
                               "acoustic");
-      const codegen::CompiledBlock block(prop.lowered());
-      prop.attach_block(block.fn());
       return propagate_shot(prop, spec, rung, a, base_fp, src, gather);
     }
   }

@@ -75,20 +75,16 @@ const SchedCase kSchedules[] = {
 
 }  // namespace
 
-// The acceptance bar of the frontend refactor: for every schedule and both
-// thread counts, the DSL-authored acoustic equation produces the same bits
-// as physics::AcousticPropagator — wavefield, receiver gathers, and the
-// point-update work counter — whether the engine runs its blocks through
-// the tape or through the compiled block of the same lowering.
+// The acceptance bar of the frontend refactor: for every schedule and
+// every thread count, the DSL-authored acoustic equation produces the same
+// bits as physics::AcousticPropagator — wavefield, receiver gathers, and
+// the point-update work counter — whether the engine runs its blocks
+// through the compiled block (the default) or the tape (the oracle).
 TEST(DslFrontend, AcousticBitIdenticalAcrossSchedulesAndThreads) {
   auto s = make_setup({20, 18, 16}, 4, 24);
   const dsl::Eq eq = dsl::acoustic_equation();
-  // Every propagator below lowers to the same tree (same model, same dt),
-  // so one compiled block serves them all.
-  const dsl::DslPropagator probe(eq, s.model);
-  const cg::CompiledBlock block(probe.lowered());
   for (const auto& sc : kSchedules) {
-    for (int threads : {1, 8}) {
+    for (int threads : {1, 4, 8}) {
       SCOPED_TRACE(std::string(sc.name) + " threads=" +
                    std::to_string(threads));
       ph::PropagatorOptions opts;
@@ -103,7 +99,7 @@ TEST(DslFrontend, AcousticBitIdenticalAcrossSchedulesAndThreads) {
         SCOPED_TRACE(compiled ? "DSL acoustic + compiled block"
                               : "DSL acoustic + tape");
         dsl::DslPropagator dslprop(eq, s.model, opts);
-        if (compiled) dslprop.attach_block(block.fn());
+        if (!compiled) dslprop.attach_block(nullptr);
         auto rec_dsl = s.rec;
         const ph::RunStats st_dsl = dslprop.run(sc.sched, s.src, &rec_dsl);
 
@@ -183,31 +179,32 @@ TEST(DslFrontend, AttachedBlockRunsEveryBlockOfEverySchedule) {
   }
 }
 
-// Resume under the temporally blocked schedule with the compiled block:
-// run head + capture + restore + run_from tail equals the AOT kernel's
-// uninterrupted run, bitwise.
+// Resume under the temporally blocked schedule with the compiled block
+// (the default): run head + capture + restore + run_from tail equals the
+// AOT kernel's uninterrupted run, bitwise, at 1 and 4 threads.
 TEST(DslFrontend, CompiledBlockWavefrontResumeBitExact) {
   auto s = make_setup({16, 14, 12}, 4, 20);
-  ph::PropagatorOptions opts;
-  opts.tiles = tc::TileSpec{4, 8, 8, 4, 4};
-  ph::AcousticPropagator hand(s.model, opts);
-  hand.run(ph::Schedule::Wavefront, s.src);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ph::PropagatorOptions opts;
+    opts.tiles = tc::TileSpec{4, 8, 8, 4, 4};
+    opts.threads = threads;
+    ph::AcousticPropagator hand(s.model, opts);
+    hand.run(ph::Schedule::Wavefront, s.src);
 
-  const int t_cut = 10;
-  sp::SparseTimeSeries head(s.src.coords(), t_cut);
-  for (int t = 0; t < t_cut; ++t) head.at(t, 0) = s.src.at(t, 0);
-  dsl::DslPropagator partial(dsl::acoustic_equation(), s.model, opts);
-  const cg::CompiledBlock block(partial.lowered());
-  partial.attach_block(block.fn());
-  partial.run(ph::Schedule::Wavefront, head);
-  const auto ck = partial.capture(t_cut, 0x5eedu);
+    const int t_cut = 10;
+    sp::SparseTimeSeries head(s.src.coords(), t_cut);
+    for (int t = 0; t < t_cut; ++t) head.at(t, 0) = s.src.at(t, 0);
+    dsl::DslPropagator partial(dsl::acoustic_equation(), s.model, opts);
+    partial.run(ph::Schedule::Wavefront, head);
+    const auto ck = partial.capture(t_cut, 0x5eedu);
 
-  dsl::DslPropagator resumed(dsl::acoustic_equation(), s.model, opts);
-  resumed.attach_block(block.fn());
-  resumed.restore(ck);
-  resumed.run_from(t_cut, ph::Schedule::Wavefront, s.src);
-  EXPECT_EQ(tg::max_abs_diff(hand.wavefield(s.nt), resumed.wavefield(s.nt)),
-            0.0);
+    dsl::DslPropagator resumed(dsl::acoustic_equation(), s.model, opts);
+    resumed.restore(ck);
+    resumed.run_from(t_cut, ph::Schedule::Wavefront, s.src);
+    EXPECT_EQ(
+        tg::max_abs_diff(hand.wavefield(s.nt), resumed.wavefield(s.nt)), 0.0);
+  }
 }
 
 // Same bar at a different space order: the lowering's FD weights must
@@ -245,10 +242,10 @@ TEST(DslFrontend, JitDslBitIdenticalToJitAcoustic) {
 
     dsl::DslPropagator jit(eq, s.model, opts, {}, "dslacoustic");
     EXPECT_EQ(jit.lowered().name, "dslacoustic");
-    const cg::CompiledBlock block(jit.lowered());
-    EXPECT_NE(block.source_code().find("tempest_dslacoustic_so4"),
+    EXPECT_NE(cg::CompiledBlock(jit.lowered())
+                  .source_code()
+                  .find("tempest_dslacoustic_so4"),
               std::string::npos);
-    jit.attach_block(block.fn());
     jit.run(sched, s.src);
     EXPECT_EQ(tg::max_abs_diff(aot.wavefield(s.nt), jit.wavefield(s.nt)),
               0.0);
@@ -270,6 +267,7 @@ TEST(DslFrontend, SpongeScenarioRunsUnderEverySchedule) {
   ph::PropagatorOptions ref_opts;
   ref_opts.tiles = tc::TileSpec{4, 8, 8, 4, 4};
   dsl::DslPropagator ref(eq, s.model, ref_opts, bindings, "sponge");
+  ref.attach_block(nullptr);  // the tape: the oracle every compiled run meets
   auto rec_ref = s.rec;
   ref.run(ph::Schedule::Reference, s.src, &rec_ref);
   const auto u_ref = ref.wavefield(s.nt);

@@ -376,7 +376,7 @@ TEST(Interference, UndershotSkewSlopeNamesTheInterferingTilePair) {
 
 // ------------------------------------------------------------------- facade
 
-TEST(Verify, CombinedReportRejectsUnstableDtAndAllowUnstableDemotesIt) {
+TEST(Verify, CombinedReportRejectsUnstableDt) {
   const dsl::LoweredKernel lk = lower_acoustic(4, 3.0);
   statics::StaticsOptions opts;
   opts.bounds = statics::conventional_bounds();
@@ -387,13 +387,6 @@ TEST(Verify, CombinedReportRejectsUnstableDtAndAllowUnstableDemotesIt) {
                          "exceeds the von Neumann bound"));
   EXPECT_THROW(statics::require_static_ok(report),
                statics::StaticVerificationError);
-
-  opts.allow_unstable = true;
-  const statics::StaticsReport allowed = statics::verify_statics(lk, opts);
-  EXPECT_TRUE(allowed.ok()) << allowed.str();
-  EXPECT_TRUE(message_of(allowed.diagnostics(), "unstable-dt",
-                         "allow_unstable"))
-      << allowed.str();
 }
 
 TEST(Verify, ThrownErrorCarriesTheReport) {
